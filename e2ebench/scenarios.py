@@ -23,7 +23,6 @@ SNAPSHOT_COUNTS = (
     "engine_steps", "engine_signals", "engine_queue_compactions",
     "daemon_preemptions", "daemon_voluntary_quits", "daemon_spin_polls",
     "daemon_primitives_executed", "pool_hits", "pool_misses",
-    "flight_recorder_events",
 )
 
 #: Percentiles tried for the latency tail, highest first; the reported tail
@@ -108,7 +107,8 @@ class Workload:
 
     seeded = False
 
-    def run(self, arms):
+    def run(self, arms, call=untraced_call):
+        del call  # nothing but the engine runs
         for arm in arms:
             arm.time_us = arm.cluster.run()
 
@@ -262,15 +262,18 @@ class CpZipf(Workload):
             arms.append(Arm(cluster, runner.backend, extra={"service": service}))
         return arms
 
-    def run(self, arms):
+    def run(self, arms, call=untraced_call):
         from repro.bench.controlplane_experiments import CONTROLPLANE_DEADLINE_US
 
-        for arm in arms:
+        def report(arm):
             service = arm.extra["service"]
-            arm.time_us = arm.cluster.run(until_us=CONTROLPLANE_DEADLINE_US)
             service.finalize(arm.time_us)
             arm.extra["summary"] = service.summary(arm.time_us)
             arm.extra["jobs"] = service.job_rows()
+
+        for arm in arms:
+            arm.time_us = arm.cluster.run(until_us=CONTROLPLANE_DEADLINE_US)
+            call("controlplane.report", report, arm)
 
     def job_metrics(self, arms):
         jobs = [job for arm in arms for job in arm.extra["jobs"]]
@@ -332,10 +335,11 @@ class Gpt2ThreeD(Workload):
                             extra={"run": run}))
         return arms
 
-    def run(self, arms):
+    def run(self, arms, call=untraced_call):
         for arm in arms:
             arm.time_us = arm.cluster.run()
-            arm.extra["result"] = arm.extra["run"].collect(arm.time_us)
+            arm.extra["result"] = call("workloads.collect", arm.extra["run"].collect,
+                                       arm.time_us)
 
     def job_metrics(self, arms):
         dfccl, nccl = (arm.extra["result"].throughput_samples_per_s for arm in arms)
@@ -359,6 +363,19 @@ def _collective_shape(work):
         chunk = holder.config.chunk_bytes
     return (holder.spec.kind, len(holder.devices), holder.spec.nbytes, chunk,
             holder.algorithm)
+
+
+def _executed_primitives(work):
+    """Primitives the Work's rank executed, or ``None`` with no executor.
+
+    Read from the executor that actually ran, never compiled anew.
+    """
+    if hasattr(work, "op"):  # NCCL: the dedicated kernel's executor
+        kernel = work.op.kernel(work.group_rank)
+        executor = kernel.executor if kernel is not None else None
+    else:  # DFCCL: the invocation's cached executor for this rank
+        executor = work.invocation.executor_if_cached(work.handle.group_rank)
+    return executor.executed_primitives if executor is not None else None
 
 
 def _latency_tail(latencies):
@@ -402,26 +419,35 @@ def judge(workload, arms, works):
     from repro.collectives.sequences import primitive_count
 
     expected_by_shape = {}
-    dfccl_expected = nccl_executed = 0
-    for work in done:
+    dfccl_expected = dfccl_executed = nccl_executed = 0
+    done_ids = {id(work) for work in done}
+    for work in works:
+        executed = _executed_primitives(work)
+        if hasattr(work, "op"):
+            nccl_executed += executed or 0
+        else:
+            dfccl_executed += executed or 0
+        if id(work) not in done_ids:
+            continue  # evicted: its rank ran part of its sequence, or none
         shape = _collective_shape(work)
         expected = expected_by_shape.get(shape)
         if expected is None:
             kind, size, nbytes, chunk, algorithm = shape
             expected = expected_by_shape[shape] = primitive_count(
                 kind, size, nbytes, chunk, algorithm=algorithm)
-        executed = len(work.primitive_sequence())
         if executed != expected:
-            errors.append(f"{work!r}: {executed} primitives, primitive_count "
-                          f"says {expected}")
-        if hasattr(work, "op"):
-            nccl_executed += executed
-        else:
+            errors.append(f"{work!r}: executed {executed} primitives, "
+                          f"primitive_count says {expected}")
+        if not hasattr(work, "op"):
             dfccl_expected += expected
-    if not evicted and counts["daemon_primitives_executed"] != dfccl_expected:
-        errors.append(f"daemon executed {counts['daemon_primitives_executed']} "
-                      f"primitives, the Works expect {dfccl_expected}")
-    counts["primitives"] = counts["daemon_primitives_executed"] + nccl_executed
+    daemon = counts["daemon_primitives_executed"]
+    if daemon != dfccl_executed:
+        errors.append(f"daemons executed {daemon} primitives, the Works' "
+                      f"executors {dfccl_executed}")
+    if daemon < dfccl_expected:
+        errors.append(f"daemons executed {daemon} primitives, the completed "
+                      f"Works expect at least {dfccl_expected}")
+    counts["primitives"] = daemon + nccl_executed
 
     # Latency is the system under test's: the NCCL arm of gpt2-3d is only
     # the reference for dfccl_over_nccl.

@@ -54,13 +54,20 @@ TARGETS = (
      "TrainingRun.build_programs"),
     ("obs.record_collective", "repro.obs.observability",
      "Observability.record_collective"),
+    ("obs.recorder.record_event", "repro.obs.recorder", "FlightRecorder.record_event"),
 )
 
 #: Every actor ``step`` method gets a span, so the engine's self time is the
-#: dispatch loop alone.  Spans are named ``<module>.<Class>.step`` except for
-#: these actors, which carry the per-layer metric names directly.
+#: dispatch loop alone.  These actors' spans carry the per-layer metric
+#: names; any other actor's span is named ``<module>.<Class>.step``.
 ACTOR_SPAN_NAMES = {
+    "HostThread": "gpusim.host.step",
+    "GpuDevice": "gpusim.device.step",
+    "KernelActor": "gpusim.kernel.step",
+    "Poller": "core.poller.step",
     "RecoveryManager": "core.recovery.step",
+    "ClusterScheduler": "multijob.scheduler.step",
+    "_FailureWatch": "multijob.failure_watch.step",
     "ControlPlane": "controlplane.step",
 }
 
@@ -84,6 +91,8 @@ class Tracer:
         self.span_end = array("d")
         self.calls = []
         self.self_s = []
+        #: Names of the actor ``step`` spans: one call per engine step.
+        self.actor_spans = set()
         # One frame per open span: [span index, time covered by children].
         self._stack = [[-1, 0.0]]
 
@@ -202,6 +211,7 @@ def install(tracer):
         if "step" in cls.__dict__:
             short = cls.__module__.removeprefix("repro.")
             name = ACTOR_SPAN_NAMES.get(cls.__name__, f"{short}.{cls.__name__}.step")
+            tracer.actor_spans.add(name)
             patch(cls, "step", tracer.wrap(cls.__dict__["step"], name))
     return undo
 
