@@ -8,11 +8,12 @@ Two deliverables, both archived by the CI obs-smoke job:
 * the **overhead gate** — always-on flight recording must cost less than 10%
   steps/sec against an untraced run of the same workload
   (``run_scale_point(observe=False)``, the disabled-Observability control
-  arm).
+  arm), measured as the median ratio over interleaved pairs of runs.
 """
 
 import json
 import os
+import statistics
 
 import pytest
 
@@ -69,20 +70,33 @@ def test_64_rank_attribution_conserves_within_one_percent():
         assert cell["measured_buckets"]
 
 
+#: Interleaved traced/untraced pairs of the overhead gate.  Host speed drifts
+#: over seconds on a shared machine, so each traced run is compared with the
+#: untraced run next to it, not with a best-of taken at another time.
+OVERHEAD_PAIRS = 21
+
+
 def test_flight_recorder_overhead_under_10_percent():
-    """Always-on recording costs <10% steps/sec vs the untraced control arm."""
-    traced = max((run_scale_point(**_POINT) for _ in range(3)),
-                 key=lambda row: row["steps_per_sec"])
-    untraced = max((run_scale_point(**_POINT, observe=False)
-                    for _ in range(3)),
-                   key=lambda row: row["steps_per_sec"])
-    assert traced["completed"] and untraced["completed"]
-    assert traced["observed"] and not untraced["observed"]
-    # Identical workload physics: tracing must not change the simulation.
-    assert traced["virtual_time_us"] == untraced["virtual_time_us"]
-    assert traced["steps"] == untraced["steps"]
-    ratio = traced["steps_per_sec"] / untraced["steps_per_sec"]
-    print(f"\nflight-recorder overhead: traced "
-          f"{traced['steps_per_sec']:.0f} steps/s vs untraced "
-          f"{untraced['steps_per_sec']:.0f} steps/s ({(1 - ratio):+.1%})")
-    assert traced["steps_per_sec"] >= 0.9 * untraced["steps_per_sec"]
+    """Always-on recording costs <10% steps/sec vs the untraced control arm.
+
+    The gate is the median over interleaved pairs of the per-pair
+    traced/untraced steps/sec ratio; which arm runs first alternates from
+    pair to pair, so neither arm systematically gets the warmer cache.
+    """
+    ratios = []
+    for pair in range(OVERHEAD_PAIRS):
+        arms = [True, False] if pair % 2 == 0 else [False, True]
+        rows = {observe: run_scale_point(**_POINT, observe=observe)
+                for observe in arms}
+        traced, untraced = rows[True], rows[False]
+        assert traced["completed"] and untraced["completed"]
+        assert traced["observed"] and not untraced["observed"]
+        # Identical workload physics: tracing must not change the simulation.
+        assert traced["virtual_time_us"] == untraced["virtual_time_us"]
+        assert traced["steps"] == untraced["steps"]
+        ratios.append(traced["steps_per_sec"] / untraced["steps_per_sec"])
+    ratio = statistics.median(ratios)
+    print(f"\nflight-recorder overhead: median of {OVERHEAD_PAIRS} paired "
+          f"ratios {ratio:.3f} ({(1 - ratio):+.1%}); pairs "
+          + " ".join(f"{r:.3f}" for r in sorted(ratios)))
+    assert ratio >= 0.9

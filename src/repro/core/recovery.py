@@ -111,9 +111,14 @@ class RecoveryManager(Actor):
     # -- detection -------------------------------------------------------------
 
     def _scan(self, now):
-        """Check every in-flight invocation for a CQE timeout on a dead group."""
+        """Check every in-flight invocation for a CQE timeout on a dead group.
+
+        A timed-out invocation's group is walked only once some device has
+        actually failed; until then every timeout is a suspected straggler.
+        """
         self.stats.scans += 1
         timeout = self.config.crash_detect_timeout_us
+        any_failed = self.backend.cluster.engine.device_failures > 0
         confirmed_failures = set()
         for ctx in self._active_contexts():
             for invocation, submit_time in list(ctx._inflight.items()):
@@ -122,8 +127,9 @@ class RecoveryManager(Actor):
                 coll = invocation.coll
                 if coll.abandoned:
                     continue
-                failed = [rank for rank in coll.active_ranks()
-                          if coll.devices[rank].failed]
+                failed = ([rank for rank in coll.active_ranks()
+                           if coll.devices[rank].failed]
+                          if any_failed else ())
                 if not failed:
                     # Timed out but everyone is alive: a straggler or a long
                     # queue, not a crash.  Keep waiting (the daemon's bounded

@@ -61,6 +61,14 @@ class RegisteredCollective:
         self.excluded_ranks = set()
         self.generation = 0
         self.abandoned = False
+        #: The active group ranks, in rank order: recomputed only where
+        #: ``excluded_ranks`` changes (:meth:`shrink` / :meth:`grow`).
+        self._active_ranks = tuple(range(len(self.devices)))
+        #: Compiled per-rank primitive sequences keyed by (participant
+        #: ranks, group rank), shared read-only by every invocation's
+        #: executor.  Dropped whenever ``generation`` bumps: the algorithm,
+        #: the devices and the island size can all change there.
+        self._sequences = {}
 
     def _resolve_algorithm(self, devices):
         # A per-collective spec hint overrides the backend-wide config knob.
@@ -109,11 +117,17 @@ class RegisteredCollective:
         internally compact the surviving ranks into a dense virtual rank
         space so the ring/tree generators see a contiguous group.
         """
-        return [rank for rank in range(len(self.devices))
-                if rank not in self.excluded_ranks]
+        return list(self._active_ranks)
 
     def active_devices(self):
-        return [self.devices[rank] for rank in self.active_ranks()]
+        return [self.devices[rank] for rank in self._active_ranks]
+
+    def _membership_changed(self):
+        """Recompute the active ranks and start a new generation."""
+        self._active_ranks = tuple(rank for rank in range(len(self.devices))
+                                   if rank not in self.excluded_ranks)
+        self._sequences.clear()
+        self.generation += 1
 
     def shrink(self, failed_ranks, pool):
         """Exclude ``failed_ranks`` and rebuild the communicator over survivors.
@@ -127,14 +141,14 @@ class RegisteredCollective:
             return self.active_ranks()
         pool.release(self.communicator)
         self.excluded_ranks |= newly
+        self._membership_changed()
         survivors = self.active_ranks()
         if survivors:
-            self.communicator = pool.acquire(self.active_devices(), job=self.job)
-            self.algorithm = self._resolve_algorithm(self.active_devices())
-            self.predicted_cost_us = self._predict_cost(self.active_devices())
-            self.predicted_breakdown = self._predict_breakdown(
-                self.active_devices())
-        self.generation += 1
+            active = self.active_devices()
+            self.communicator = pool.acquire(active, job=self.job)
+            self.algorithm = self._resolve_algorithm(active)
+            self.predicted_cost_us = self._predict_cost(active)
+            self.predicted_breakdown = self._predict_breakdown(active)
         return survivors
 
     def grow(self, replacements, pool):
@@ -157,12 +171,12 @@ class RegisteredCollective:
         for rank, device in relevant.items():
             self.devices[rank] = device
             self.excluded_ranks.discard(rank)
+        self._membership_changed()
         active = self.active_devices()
         self.communicator = pool.acquire(active, job=self.job)
         self.algorithm = self._resolve_algorithm(active)
         self.predicted_cost_us = self._predict_cost(active)
         self.predicted_breakdown = self._predict_breakdown(active)
-        self.generation += 1
         return self.active_ranks()
 
     @property
@@ -183,7 +197,7 @@ class RegisteredCollective:
             ) from None
 
     def make_executor(self, group_rank, participants=None, communicator=None):
-        """Compile this collective's primitive sequence for one rank.
+        """Build an executor of this collective's primitive sequence for one rank.
 
         ``participants`` (original group ranks, defaulting to the active
         ones) defines the group the sequence spans: the rank is compacted to
@@ -191,16 +205,32 @@ class RegisteredCollective:
         dense ring/tree among themselves.  ``communicator`` must be built
         over exactly the participants' devices (the default is the
         collective's current communicator, which matches the active ranks).
+        The sequence is compiled once per (participants, rank) and generation;
+        every executor gets its own position over the shared primitives.
         """
-        participants = (list(participants) if participants is not None
-                        else self.active_ranks())
+        participants = (tuple(participants) if participants is not None
+                        else self._active_ranks)
+        key = (participants, group_rank)
+        sequence = self._sequences.get(key)
+        if sequence is None:
+            sequence = self._sequences[key] = self._compile(group_rank,
+                                                            participants)
+        return PrimitiveExecutor(
+            collective_id=self.coll_id,
+            group_rank=participants.index(group_rank),
+            communicator=(communicator if communicator is not None
+                          else self.communicator),
+            primitives=sequence,
+            cost_model=self.config.cost_model,
+        )
+
+    def _compile(self, group_rank, participants):
+        """Generate ``group_rank``'s primitive sequence over ``participants``."""
         if group_rank not in participants:
             raise ConfigurationError(
                 f"group rank {group_rank} is not a participant of {self.name} "
-                f"(participants: {participants})"
+                f"(participants: {list(participants)})"
             )
-        communicator = communicator if communicator is not None else self.communicator
-        virtual_rank = participants.index(group_rank)
         if self.spec.root in participants:
             virtual_root = participants.index(self.spec.root)
         elif self.rooted:
@@ -208,31 +238,23 @@ class RegisteredCollective:
             # recovery must abandon the collective rather than re-root it.
             raise ConfigurationError(
                 f"root {self.spec.root} of {self.name} is not among the "
-                f"participants {participants}; a rooted collective cannot "
-                "be re-formed without its root"
+                f"participants {list(participants)}; a rooted collective "
+                "cannot be re-formed without its root"
             )
         else:
             virtual_root = 0
-        participant_devices = [self.devices[rank] for rank in participants]
-        sequence = generate_primitive_sequence(
+        return tuple(generate_primitive_sequence(
             self.spec.kind,
-            virtual_rank,
+            participants.index(group_rank),
             len(participants),
             self.spec.nbytes,
             chunk_bytes=self.config.chunk_bytes,
             root=virtual_root,
             algorithm=self.algorithm,
             island_size=hierarchical_island_size(
-                device.device_id.node for device in participant_devices
+                self.devices[rank].device_id.node for rank in participants
             ),
-        )
-        return PrimitiveExecutor(
-            collective_id=self.coll_id,
-            group_rank=virtual_rank,
-            communicator=communicator,
-            primitives=sequence,
-            cost_model=self.config.cost_model,
-        )
+        ))
 
     def invocation(self, index):
         """Return invocation ``index``, creating intermediate ones if needed."""
@@ -456,7 +478,7 @@ class Invocation:
         """Group ranks whose completion this invocation waits for."""
         if self._participants is not None:
             return set(self._participants)
-        return set(self.coll.active_ranks())
+        return set(self.coll._active_ranks)
 
     def submitted_ranks(self):
         return set(self._submitted_ranks)

@@ -223,6 +223,7 @@ class GpuDevice(Actor):
         for stream in self.streams.values():
             stream.drop_pending()
         if self.engine is not None:
+            self.engine.device_failures += 1
             self.engine.kill_actor(self, time_us)
             self.engine.signal(self.failed_key, time_us)
         return killed

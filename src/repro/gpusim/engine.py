@@ -190,6 +190,10 @@ class Engine:
         self.deadlock_report = None
         self._signal_log = deque(maxlen=self.SIGNAL_LOG_LIMIT)
         self._signals = 0
+        #: Devices that have crashed on this engine (bumped by
+        #: ``GpuDevice.fail``).  Failure detectors skip looking for dead
+        #: group members while it is zero.
+        self.device_failures = 0
         if self.obs.enabled:
             registry = self.obs.metrics
             registry.gauge_fn("engine_steps", lambda: self._steps)

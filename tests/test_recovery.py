@@ -2,8 +2,13 @@
 
 import pytest
 
+from repro.collectives.sequences import (
+    generate_primitive_sequence,
+    hierarchical_island_size,
+)
 from repro.common.errors import ConfigurationError, InvalidStateError
 from repro.core import CommunicatorPool, DfcclBackend, DfcclConfig
+from repro.core import registration
 from repro.faults import FaultPlan, install_fault_plan, run_dfccl_chaos
 from repro.gpusim import HostProgram, build_cluster
 from repro.gpusim.host import DeviceSynchronize
@@ -189,6 +194,25 @@ class TestRecoveryMechanics:
         assert result.recovery["recoveries"] == 0
         assert result.recovery["suspected_stragglers"] >= 1
 
+        # The same straggler driven directly: with no failed device the scan
+        # never walks a group, yet it counts scans and suspects exactly as
+        # the walking scan did (pinned values).
+        cluster = build_cluster("single-3090")
+        backend = DfcclBackend(cluster, config)
+        ranks = [0, 1, 2, 3]
+        backend.init_all_ranks(ranks)
+        coll = backend.register_all_reduce(0, count=1 << 18, ranks=ranks)
+        cluster.add_hosts([
+            HostProgram(backend.submit(rank, 0).ops() + [backend.destroy_op(rank)])
+            for rank in ranks
+        ])
+        install_fault_plan(cluster, plan)
+        cluster.run()
+        assert coll.invocation(0).fully_complete()
+        stats = backend.recovery_manager.stats
+        assert cluster.engine.device_failures == 0
+        assert (stats.scans, stats.suspected_stragglers, stats.recoveries) == (5, 1, 0)
+
     def test_recovery_disabled_config_spawns_no_manager(self):
         cluster = build_cluster("single-3090")
         backend = DfcclBackend(cluster, DfcclConfig(recovery_enabled=False))
@@ -288,3 +312,101 @@ class TestRecoveryMechanics:
         cluster.run()
         backend.unregister_collective(0)
         assert backend.pool.stats()["free"] == 1
+
+
+def _fresh_sequence(coll, group_rank, participants):
+    """``group_rank``'s sequence compiled from scratch over ``participants``."""
+    participants = list(participants)
+    return generate_primitive_sequence(
+        coll.spec.kind, participants.index(group_rank), len(participants),
+        coll.spec.nbytes, chunk_bytes=coll.config.chunk_bytes, root=0,
+        algorithm=coll.algorithm,
+        island_size=hierarchical_island_size(
+            coll.devices[rank].device_id.node for rank in participants),
+    )
+
+
+class TestCompiledSequences:
+    def test_invocations_share_one_compile_per_rank(self, monkeypatch):
+        """Two invocations compile each rank's sequence once; every
+        invocation still gets its own executor (its own position)."""
+        compiled = []
+        generate = registration.generate_primitive_sequence
+
+        def counting(*args, **kwargs):
+            compiled.append(args[1])
+            return generate(*args, **kwargs)
+
+        monkeypatch.setattr(registration, "generate_primitive_sequence", counting)
+        _, backend, _ = run_simple(num_gpus=4, coll_sizes=(1 << 16,),
+                                   iterations=2)
+        assert sorted(compiled) == [0, 1, 2, 3]
+        coll = backend.collective(0)
+        for rank in range(4):
+            first = coll.invocation(0).executor_if_cached(rank)
+            second = coll.invocation(1).executor_if_cached(rank)
+            assert first is not second
+            assert first.primitives is second.primitives
+            assert first.done() and second.done()
+
+    def _hierarchical_group(self):
+        # Group ranks 0..3 on global ranks 0, 1, 8, 9: two nodes, islands of 2.
+        cluster = build_cluster("dual-3090")
+        backend = DfcclBackend(cluster, DfcclConfig(algorithm="hierarchical"))
+        global_ranks = [0, 1, 8, 9]
+        backend.init_all_ranks(global_ranks)
+        coll = backend.register_all_reduce(0, count=1 << 18, ranks=global_ranks)
+        return cluster, backend, coll
+
+    def test_no_stale_sequence_after_shrink_rerun_and_grow(self):
+        cluster, backend, coll = self._hierarchical_group()
+        manager = backend.recovery_manager
+        assert coll.algorithm == "hierarchical"
+        first = coll.invocation(0)
+        before = {rank: first.executor_for(rank).primitives for rank in range(4)}
+        assert list(before[3]) == _fresh_sequence(coll, 3, range(4))
+
+        # Crash-shrink while rank 0 already finished invocation 0: the rerun
+        # spans the unfinished survivors 1 and 2 only.
+        first.mark_gpu_complete(0, 10.0)
+        cluster.device(9).fail(20.0)
+        manager._recover_collective(coll, [3], now=30.0)
+        assert coll.active_ranks() == [0, 1, 2]
+        for rank in (1, 2):
+            rerun = first.executor_for(rank)
+            assert list(rerun.primitives) == _fresh_sequence(coll, rank, [1, 2])
+        shrunk = coll.invocation(1).executor_for(2)
+        assert list(shrunk.primitives) == _fresh_sequence(coll, 2, [0, 1, 2])
+
+        # Rejoin group rank 3 on global rank 2 (node 0): the islands are no
+        # longer equal, so the pre-crash hierarchical sequence is stale.
+        manager.rejoin(coll, {3: 2}, now=40.0)
+        assert coll.active_ranks() == [0, 1, 2, 3]
+        regrown = coll.invocation(2).executor_for(3)
+        assert list(regrown.primitives) == _fresh_sequence(coll, 3, range(4))
+        assert regrown.primitives != before[3]
+
+    def test_active_ranks_follow_shrink_and_grow(self):
+        cluster, backend, coll = self._hierarchical_group()
+        manager = backend.recovery_manager
+
+        def recomputed():
+            return [rank for rank in range(len(coll.devices))
+                    if rank not in coll.excluded_ranks]
+
+        returned = coll.active_ranks()
+        returned.remove(0)
+        returned.append(7)
+        assert coll.active_ranks() == recomputed() == [0, 1, 2, 3]
+
+        cluster.device(8).fail(10.0)
+        manager._recover_collective(coll, [2], now=20.0)
+        assert coll.active_ranks() == recomputed() == [0, 1, 3]
+        assert type(coll.active_ranks()) is list
+        assert coll.active_devices() == [coll.devices[rank] for rank in (0, 1, 3)]
+        assert coll.invocation(0).expected_ranks() == {0, 1, 3}
+
+        manager.rejoin(coll, {2: 10}, now=30.0)
+        assert coll.active_ranks() == recomputed() == [0, 1, 2, 3]
+        assert coll.active_devices()[2] is cluster.device(10)
+        assert coll.invocation(1).expected_ranks() == {0, 1, 2, 3}
