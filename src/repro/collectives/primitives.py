@@ -109,15 +109,17 @@ _ALL_DONE = ExecOutcome.ALL_DONE
 
 
 class PrimitiveOutcome:
-    """Outcome plus the wait key to block/spin on when not successful."""
+    """Outcome, the wait key to block/spin on when not successful, and the
+    number of primitives the returning call ``executed``."""
 
-    __slots__ = ("outcome", "primitive", "wait_key", "busy_time_us")
+    __slots__ = ("outcome", "primitive", "wait_key", "busy_time_us", "executed")
 
     def __init__(self, outcome, primitive=None, wait_key=None, busy_time_us=0.0):
         self.outcome = outcome
         self.primitive = primitive
         self.wait_key = wait_key
         self.busy_time_us = busy_time_us
+        self.executed = 0
 
 
 class PrimitiveExecutor:
@@ -162,11 +164,11 @@ class PrimitiveExecutor:
         #: immediately consumed by every caller, so allocating a fresh object
         #: each time only feeds the garbage collector.
         self._success_outcome = PrimitiveOutcome(_SUCCESS)
-        #: Optional per-primitive execution trace: a flat ``array('d')`` of
-        #: ``(start_us, end_us, busy_us)`` triples appended per executed
-        #: primitive, attached by ``obs.analysis`` when time attribution is
-        #: requested.  ``None`` (the default) keeps the hot path at one load
-        #: and one identity check per primitive.
+        #: Optional execution trace: a flat ``array('d')`` with one
+        #: ``(start_us, end_us, busy_us)`` triple per executed primitive,
+        #: attached by ``obs.analysis`` when time attribution is requested.
+        #: ``None`` (the default) costs one load per burst and one identity
+        #: check per executed primitive.
         self.trace = None
 
     # -- introspection ----------------------------------------------------------
@@ -233,148 +235,161 @@ class PrimitiveExecutor:
         if primitive.recvs and primitive.recv_peer is not None:
             recv_channel = self._recv_channel(primitive)
             if not recv_channel.readable(now_us, max_wait_us):
-                return PrimitiveOutcome(
-                    ExecOutcome.WAIT_RECV, primitive, recv_channel.readable_key
-                )
+                return PrimitiveOutcome(_WAIT_RECV, primitive, recv_channel.readable_key)
         if primitive.sends and primitive.send_peer is not None:
             send_channel = self._send_channel(primitive)
             if not send_channel.writable():
-                return PrimitiveOutcome(
-                    ExecOutcome.WAIT_SEND, primitive, send_channel.writable_key
-                )
+                return PrimitiveOutcome(_WAIT_SEND, primitive, send_channel.writable_key)
         return PrimitiveOutcome(ExecOutcome.SUCCESS, primitive)
 
-    def try_execute_current(self, clock, engine=None, max_wait_us=None):
-        """Attempt the current primitive; on success advance ``clock`` and move on.
+    def try_execute_current(self, clock, engine=None, max_wait_us=None, budget=1,
+                            on_success=None):
+        """Execute up to ``budget`` primitives back to back, advancing ``clock``.
 
-        Returns a :class:`PrimitiveOutcome`.  A WAIT_* outcome does not charge
-        time — busy-wait accounting (spinning or blocking) is the caller's
-        responsibility, because NCCL and DFCCL handle it differently.
-        ``max_wait_us`` bounds how far into the future the executor will wait
-        for in-flight data (DFCCL passes its remaining spin budget).
+        The burst stops at the first primitive that would wait, at the end of
+        the sequence, or after ``budget`` successes, and returns the last
+        attempt's :class:`PrimitiveOutcome` (SUCCESS: the budget ran out).  A
+        WAIT_* outcome charges no time — busy-wait accounting (spinning or
+        blocking) is the caller's, as NCCL and DFCCL handle it differently.
+        ``max_wait_us`` bounds how far into the future the executor waits for
+        in-flight data (DFCCL passes its remaining spin budget).
+        ``on_success``, if given, runs after each executed primitive and
+        returns the next one's ``max_wait_us``; once it returns the value
+        already in force it has settled and is not called again this burst.
         """
         position = self.position
         primitives = self.primitives
-        if position >= len(primitives):
+        end = len(primitives)
+        if position >= end:
             return PrimitiveOutcome(_ALL_DONE)
 
-        primitive = primitives[position]
-        recv_channel = None
-        send_channel = None
-
-        # The readable/writable checks are inlined over the channel FIFOs
-        # (same-package fast path, one or two checks per primitive of every
-        # collective in the simulation); `Channel.readable`/`writable` remain
-        # the reference semantics for every other caller.
-        recv_peer = primitive.recv_peer
-        if recv_peer is not None and primitive.recvs:
-            recv_channel = self._recv_channels.get(recv_peer)
-            if recv_channel is None:
-                recv_channel = self._recv_channel(primitive)
-            fifo = recv_channel._fifo
-            if recv_channel.invalidated or not fifo or (
-                max_wait_us is not None
-                and fifo[0].ready_time_us > clock.now + max_wait_us
-            ):
-                return PrimitiveOutcome(
-                    _WAIT_RECV, primitive, recv_channel.readable_key
-                )
-        send_peer = primitive.send_peer
-        if send_peer is not None and primitive.sends:
-            send_channel = self._send_channels.get(send_peer)
-            if send_channel is None:
-                send_channel = self._send_channel(primitive)
-            if send_channel.invalidated or \
-                    len(send_channel._fifo) >= send_channel.capacity:
-                return PrimitiveOutcome(
-                    _WAIT_SEND, primitive, send_channel.writable_key
-                )
-
-        # Both wait checks passed: the primitive executes now.  ``start`` is
-        # the rank's clock *before* any arrival spin, so the analysis layer
-        # can split recv wait from dilated work.
-        trace = self.trace
-        if trace is not None:
-            trace_start = clock.now
-
-        epoch = self.communicator.interconnect.link_epoch
-        if epoch != self._cache_epoch:
-            self._links.clear()
-            self._busy_cache.clear()
-            self._cache_epoch = epoch
-        if send_channel is not None:
-            peer = primitive.send_peer
-            link = self._links.get(peer)
-            if link is None:
-                link = self.communicator.link(self.group_rank, peer)
-                self._links[peer] = link
-        else:
-            peer = None
-            link = None
-        busy_key = (primitive.nbytes, peer, primitive.touches_memory)
-        busy = self._busy_cache.get(busy_key)
-        if busy is None:
-            busy = self.cost_model.primitive_time_us(
-                primitive.nbytes,
-                link=link,
-                sends=send_channel is not None,
-                touches_memory=primitive.touches_memory,
-            )
-            self._busy_cache[busy_key] = busy
-
-        if recv_channel is not None:
-            message = recv_channel._fifo.popleft()
-            recv_channel.popped_count += 1
-            # Spin until the in-flight data actually arrives, then consume
-            # it; the message shell is dead now and returns to the freelist.
-            arrival = message.ready_time_us
-            if arrival > clock.now:
-                clock.now = arrival
-            recv_channel._free.append(message)
-            if engine is not None:
-                # Fast path: a signal with no registered waiter is a no-op, so
-                # consult the engine's public waiter table before paying the
-                # call.
-                key = recv_channel.writable_key
-                if key in engine.waiters_by_key:
-                    engine.signal(key, clock.now)
-
-        # clock.advance(busy) inlined: busy is a cached non-negative cost.
-        clock.now += busy * clock.rate
-
-        if send_channel is not None:
-            free = send_channel._free
-            if free:
-                message = free.pop()
-                message.collective_id = self.collective_id
-                message.chunk_index = primitive.chunk_index
-                message.step = primitive.step
-                message.nbytes = primitive.nbytes
-                message.ready_time_us = clock.now
+        # The readable/writable checks are inlined over the channel FIFOs;
+        # `Channel.readable`/`writable` remain the reference semantics for
+        # every other caller.  The call-invariant state is hoisted only once
+        # the first primitive is known to run, so a visit that makes no
+        # progress pays for its checks alone.  The rank's time lives in
+        # ``now`` and is written back once: nothing the burst calls reads it.
+        recv_channels = self._recv_channels
+        send_channels = self._send_channels
+        now = clock.now
+        executed = 0
+        while True:
+            primitive = primitives[position]
+            recv_channel = send_channel = None
+            recv_peer = primitive.recv_peer
+            if recv_peer is not None and primitive.recvs:
+                recv_channel = recv_channels.get(recv_peer) or self._recv_channel(primitive)
+                fifo = recv_channel._fifo
+                if recv_channel.invalidated or not fifo or (
+                    max_wait_us is not None
+                    and fifo[0].ready_time_us > now + max_wait_us
+                ):
+                    outcome = PrimitiveOutcome(_WAIT_RECV, primitive,
+                                               recv_channel.readable_key)
+                    break
+            send_peer = primitive.send_peer
+            if send_peer is not None and primitive.sends:
+                send_channel = send_channels.get(send_peer) or self._send_channel(primitive)
+                if send_channel.invalidated or \
+                        len(send_channel._fifo) >= send_channel.capacity:
+                    outcome = PrimitiveOutcome(_WAIT_SEND, primitive,
+                                               send_channel.writable_key)
+                    break
             else:
-                message = ChunkMessage(
-                    collective_id=self.collective_id,
-                    chunk_index=primitive.chunk_index,
-                    step=primitive.step,
-                    nbytes=primitive.nbytes,
-                    ready_time_us=clock.now,
-                )
-            send_channel._fifo.append(message)
-            send_channel.pushed_count += 1
-            send_channel.bytes_pushed += primitive.nbytes
-            if engine is not None:
+                send_peer = None
+
+            if not executed:
+                epoch = self.communicator.interconnect.link_epoch
+                if epoch != self._cache_epoch:
+                    self._links.clear()
+                    self._busy_cache.clear()
+                    self._cache_epoch = epoch
+                busy_cache = self._busy_cache
+                rate = clock.rate
+                trace = self.trace
+                waiters = engine.waiters_by_key if engine is not None else ()
+                collective_id = self.collective_id
+
+            # Both wait checks passed: the primitive executes now.  The trace's
+            # start is the clock *before* any arrival spin, so the analysis
+            # layer can split recv wait from dilated work.
+            start = now
+            nbytes = primitive.nbytes
+            busy_key = (nbytes, send_peer, primitive.touches_memory)
+            busy = busy_cache.get(busy_key)
+            if busy is None:
+                busy = busy_cache[busy_key] = self._busy_time_us(primitive, send_peer)
+
+            if recv_channel is not None:
+                # Wait for the in-flight data to arrive, then consume it; the
+                # message shell is dead now and returns to the freelist.
+                message = fifo.popleft()
+                recv_channel.popped_count += 1
+                if message.ready_time_us > now:
+                    now = message.ready_time_us
+                recv_channel._free.append(message)
+                # A signal with no registered waiter is a no-op, so consult
+                # the engine's public waiter table before paying the call.
+                key = recv_channel.writable_key
+                if key in waiters:
+                    engine.signal(key, now)
+
+            # clock.advance(busy) inlined: busy is a cached non-negative cost.
+            now += busy * rate
+
+            if send_channel is not None:
+                free = send_channel._free
+                if free:
+                    message = free.pop()
+                    message.collective_id = collective_id
+                    message.chunk_index = primitive.chunk_index
+                    message.step = primitive.step
+                    message.nbytes = nbytes
+                    message.ready_time_us = now
+                else:
+                    message = ChunkMessage(collective_id, primitive.chunk_index,
+                                           primitive.step, nbytes, now)
+                send_channel._fifo.append(message)
+                send_channel.pushed_count += 1
+                send_channel.bytes_pushed += nbytes
                 key = send_channel.readable_key
-                if key in engine.waiters_by_key:
-                    engine.signal(key, clock.now)
+                if key in waiters:
+                    engine.signal(key, now)
 
-        if trace is not None:
-            trace.append(trace_start)
-            trace.append(clock.now)
-            trace.append(busy)
+            if trace is not None:
+                trace.extend((start, now, busy))
 
-        self.position = position + 1
-        self.executed_primitives += 1
-        outcome = self._success_outcome
-        outcome.primitive = primitive
-        outcome.busy_time_us = busy
+            executed += 1
+            position += 1
+            if on_success is not None:
+                next_wait_us = on_success()
+                if next_wait_us == max_wait_us:
+                    on_success = None
+                max_wait_us = next_wait_us
+            if executed >= budget:
+                outcome = self._success_outcome
+                outcome.primitive = primitive
+                outcome.busy_time_us = busy
+                break
+            if position >= end:
+                outcome = PrimitiveOutcome(_ALL_DONE)
+                break
+
+        if executed:
+            clock.now = now
+            self.position = position
+            self.executed_primitives += executed
+            outcome.executed = executed
         return outcome
+
+    def _busy_time_us(self, primitive, send_peer):
+        """Cost of ``primitive``; ``send_peer`` is ``None`` unless it sends."""
+        link = None
+        if send_peer is not None:
+            link = self._links.get(send_peer)
+            if link is None:
+                link = self._links[send_peer] = self.communicator.link(
+                    self.group_rank, send_peer)
+        return self.cost_model.primitive_time_us(
+            primitive.nbytes, link=link, sends=send_peer is not None,
+            touches_memory=primitive.touches_memory)

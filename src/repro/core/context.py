@@ -144,12 +144,15 @@ class ActiveContextCache:
         return cost_us
 
     def load(self, coll_id):
-        """Ensure ``coll_id``'s context is resident; returns the charged time."""
+        """Make ``coll_id``'s context resident; returns ``(slot, charged_us)``.
+
+        Callers mark progress by setting the returned slot's ``dirty`` flag.
+        """
         slot = self._slot_for(coll_id)
         charged = 0.0
         if slot.coll_id == coll_id:
             self.stats.cache_hits += 1
-            return charged
+            return slot, charged
         self.stats.cache_misses += 1
         if slot.coll_id is not None and slot.dirty:
             charged += self._charge(self.config.context_save_cost_us)
@@ -160,18 +163,7 @@ class ActiveContextCache:
         self.stats.load_time_us += self.config.context_load_cost_us
         slot.coll_id = coll_id
         slot.dirty = False
-        return charged
-
-    def mark_progress(self, coll_id):
-        """Record that the collective progressed (its context is now dirty)."""
-        slot = self._slot_for(coll_id)
-        if slot.coll_id == coll_id:
-            slot.dirty = True
-
-    def progress_slot(self, coll_id):
-        """The direct-mapped slot of ``coll_id``, for hot loops that mark
-        progress repeatedly without re-hashing the id each time."""
-        return self._slot_for(coll_id)
+        return slot, charged
 
     def save_on_preempt(self, coll_id, progressed):
         """Save the dynamic context when a collective is preempted.

@@ -32,6 +32,9 @@ from repro.core.scheduling import (
 from repro.gpusim.device import KernelActor
 from repro.gpusim.engine import StepResult
 
+_SUCCESS = ExecOutcome.SUCCESS
+_ALL_DONE = ExecOutcome.ALL_DONE
+
 
 class DaemonKernel(KernelActor):
     """One generation of the daemon kernel on one GPU."""
@@ -212,53 +215,41 @@ class DaemonKernel(KernelActor):
 
     def _execute_entry(self, entry):
         config = self.config
-        load_cost = self.active_cache.load(entry.coll_id)
+        coll_id = entry.coll_id
+        slot, load_cost = self.active_cache.load(coll_id)
         stats = self.stats
         stats.preparing_time_us += load_cost
 
-        # Hot loop: every attribute consulted per primitive is hoisted into a
-        # local once per entry visit (this loop executes every primitive of
-        # every collective in the simulation).  The body of ``_on_progress``
-        # is inlined with prebound callables; the pass/activity flags are
-        # written back once after the burst.
+        # One executor call runs the burst, calling ``on_success`` after each
+        # executed primitive.  Both spin policies' update depends only on the
+        # threshold, so a repeated max wait means it has settled.
         poll_cost_us = config.cost_model.poll_cost_us
-        budget = config.primitives_per_step
-        clock = self.clock
-        engine = self.engine
-        try_execute = entry.executor.try_execute_current
         on_success = self.spin_policy.on_success
-        coll_id = entry.coll_id
-        slot = self.active_cache.progress_slot(coll_id)
-        success = ExecOutcome.SUCCESS
-        all_done = ExecOutcome.ALL_DONE
 
-        executed = 0
-        burst_start_us = clock.now
-        kind = success
-        while executed < budget:
-            max_wait_us = entry.spin_remaining * poll_cost_us
-            outcome = try_execute(clock, engine, max_wait_us=max_wait_us)
-            kind = outcome.outcome
-            if kind is not success:
-                break
-            executed += 1
-            entry.progressed_since_load = True
-            entry.spin_quantum = 500
-            if slot.coll_id == coll_id:
-                slot.dirty = True
+        def next_max_wait_us():
             on_success(entry)
+            return entry.spin_remaining * poll_cost_us
+
+        clock = self.clock
+        burst_start_us = clock.now
+        outcome = entry.executor.try_execute_current(
+            clock, self.engine, entry.spin_remaining * poll_cost_us,
+            config.primitives_per_step, next_max_wait_us)
+        executed = outcome.executed
         if executed:
             # Failed attempts charge no time and the burst ends before the
-            # completion / spin paths advance the clock, so the original
-            # per-primitive (after - before) deltas telescope into one
-            # subtraction across the burst.
+            # completion / spin paths advance the clock.
+            entry.progressed_since_load = True
+            entry.spin_quantum = 500
+            slot.dirty = True
             stats.primitives_executed += executed
             stats.execute_time_us += clock.now - burst_start_us
             self._pass_progress = True
             self._last_activity_us = clock.now
-        if kind is success:
-            return StepResult.progress(f"burst on coll {entry.coll_id}")
-        if kind is all_done:
+        kind = outcome.outcome
+        if kind is _SUCCESS:
+            return StepResult.progress(f"burst on coll {coll_id}")
+        if kind is _ALL_DONE:
             return self._complete_entry(entry)
         return self._spin_or_preempt(entry)
 

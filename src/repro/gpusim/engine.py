@@ -70,6 +70,10 @@ class StepStatus(enum.Enum):
     DONE = "done"
 
 
+#: ``StepStatus`` -> value for the recorder's per-step tuple (no enum lookup).
+_STATUS_NAMES = {status: status.value for status in StepStatus}
+
+
 @dataclass
 class StepResult:
     """Value returned by :meth:`Actor.step`."""
@@ -447,13 +451,13 @@ class Engine:
             result = actor.step()
             self._observe_time(actor.now)
             ring = self._event_ring
+            status = result.status
             if ring is not None:
                 # The flight recorder's entire hot-path cost: one bounded
                 # deque append per step.
-                ring.append((actor.now, actor.name, result.status.value,
+                ring.append((actor.now, actor.name, _STATUS_NAMES[status],
                              result.detail))
 
-            status = result.status
             if status is StepStatus.PROGRESS:
                 self._schedule(actor, actor.now, _KIND_READY)
             elif status is StepStatus.BLOCKED:

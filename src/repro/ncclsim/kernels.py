@@ -26,9 +26,9 @@ def grid_size_for(nbytes, max_blocks=4):
 class NcclCollectiveKernel(KernelActor):
     """A resident kernel running one collective part to completion."""
 
-    #: Number of primitives attempted per engine step (keeps steps coarse
-    #: without changing semantics: a step only covers primitives that can
-    #: execute back-to-back without waiting).
+    #: Most primitives one engine step's executor burst runs (keeps steps
+    #: coarse without changing semantics: a step only covers primitives that
+    #: can execute back-to-back without waiting).
     PRIMITIVES_PER_STEP = 8
 
     def __init__(self, name, device, executor, op, rank, grid_size=1, block_size=256):
@@ -52,24 +52,22 @@ class NcclCollectiveKernel(KernelActor):
         if primitive is None:
             return None
         communicator = self.executor.communicator
-        if outcome.outcome.value == "wait_recv":
+        if outcome.outcome is ExecOutcome.WAIT_RECV:
             return communicator.device_id(primitive.recv_peer), "recv"
-        if outcome.outcome.value == "wait_send":
+        if outcome.outcome is ExecOutcome.WAIT_SEND:
             return communicator.device_id(primitive.send_peer), "send"
         return None
 
     def run_step(self):
-        for _ in range(self.PRIMITIVES_PER_STEP):
-            outcome = self.executor.try_execute_current(self.clock, self.engine)
-            if outcome.outcome is ExecOutcome.SUCCESS:
-                continue
-            if outcome.outcome is ExecOutcome.ALL_DONE:
-                self.op.mark_rank_complete(self.rank, self.now, self.engine)
-                return self.complete(f"collective {self.op.op_id} done on rank {self.rank}")
-            # WAIT_RECV / WAIT_SEND: hold resources and wait without bound.
-            self.blocked_polls += 1
-            return StepResult.blocked(
-                [outcome.wait_key],
-                f"{outcome.primitive.name} waiting ({outcome.outcome.value})",
-            )
-        return StepResult.progress("primitive burst")
+        outcome = self.executor.try_execute_current(
+            self.clock, self.engine, budget=self.PRIMITIVES_PER_STEP)
+        kind = outcome.outcome
+        if kind is ExecOutcome.SUCCESS:
+            return StepResult.progress("primitive burst")
+        if kind is ExecOutcome.ALL_DONE:
+            self.op.mark_rank_complete(self.rank, self.now, self.engine)
+            return self.complete(f"collective {self.op.op_id} done on rank {self.rank}")
+        # WAIT_RECV / WAIT_SEND: hold resources and wait without bound.
+        self.blocked_polls += 1
+        return StepResult.blocked([outcome.wait_key],
+                                  f"{outcome.primitive.name} waiting ({kind.value})")

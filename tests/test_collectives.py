@@ -1,5 +1,7 @@
 """Tests for the collective algorithm layer: channels, primitives, sequences."""
 
+from array import array
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -16,7 +18,10 @@ from repro.collectives import (
     generate_primitive_sequence,
     primitive_count,
 )
+from repro.core.scheduling import AdaptiveSpinPolicy, NaiveSpinPolicy, TaskEntry
 from repro.gpusim.cluster import build_cluster
+
+POLL_COST_US = CostModel().poll_cost_us
 
 
 def make_communicator(size=4):
@@ -157,6 +162,136 @@ class TestSequences:
         assert total_sends == total_recvs
 
 
+class _RecordingEngine:
+    """Engine stand-in: every key has a waiter and every signal is logged."""
+
+    class _EveryKey(dict):
+        def __contains__(self, key):
+            return True
+
+    def __init__(self):
+        self.waiters_by_key = self._EveryKey()
+        self.signals = []
+
+    def signal(self, key, time_us=None):
+        self.signals.append((key, time_us))
+
+
+class _BurstWorld:
+    """One communicator's executors, clocks and (optional) daemon entries."""
+
+    def __init__(self, group_size=4, nbytes=64 << 10, capacity=None,
+                 start_us=None, policy=None, threshold=None):
+        cluster = build_cluster("single-3090")
+        self.interconnect = cluster.interconnect
+        self.comm = Communicator(cluster.devices[:group_size], cluster.interconnect,
+                                 channel_capacity=capacity)
+        self.executors = []
+        for rank in range(group_size):
+            sequence = generate_primitive_sequence(
+                CollectiveKind.ALL_REDUCE, rank, group_size, nbytes, chunk_bytes=4096)
+            executor = PrimitiveExecutor(0, rank, self.comm, sequence)
+            executor.trace = array("d")
+            self.executors.append(executor)
+        start_us = start_us or [0.0] * group_size
+        self.clocks = [VirtualClock(start) for start in start_us]
+        self.engine = _RecordingEngine()
+        self.policy = policy
+        self.entries = [TaskEntry(invocation=None, group_rank=rank, executor=executor)
+                        for rank, executor in enumerate(self.executors)]
+        for entry in self.entries:
+            entry.reset_spin(threshold or 0)
+
+    def max_wait_us(self, rank):
+        if self.policy is None:
+            return None
+        return self.entries[rank].spin_remaining * POLL_COST_US
+
+    def burst(self, rank, budget):
+        """The daemon's / NCCL kernel's call: one executor call per step."""
+        entry = self.entries[rank]
+        on_success = None
+        if self.policy is not None:
+            def on_success():
+                self.policy.on_success(entry)
+                return entry.spin_remaining * POLL_COST_US
+        outcome = self.executors[rank].try_execute_current(
+            self.clocks[rank], self.engine, self.max_wait_us(rank), budget, on_success)
+        return outcome.outcome, outcome.primitive, outcome.executed
+
+    def single_steps(self, rank, budget):
+        """Reference: ``budget`` one-primitive calls, stopping at a wait."""
+        executed = 0
+        while executed < budget:
+            outcome = self.executors[rank].try_execute_current(
+                self.clocks[rank], self.engine, self.max_wait_us(rank))
+            if outcome.outcome is not ExecOutcome.SUCCESS:
+                return outcome.outcome, outcome.primitive, executed
+            executed += 1
+            if self.policy is not None:
+                self.policy.on_success(self.entries[rank])
+        return ExecOutcome.SUCCESS, outcome.primitive, executed
+
+    def spin(self, rank):
+        """What a caller does after a wait: burn time, shrink the spin budget."""
+        self.clocks[rank].advance(3.0)
+        self.entries[rank].spin_remaining //= 2
+
+    def state(self):
+        names = {}
+        for key, channel in self.comm.channels().items():
+            names[channel.readable_key] = ("readable", key)
+            names[channel.writable_key] = ("writable", key)
+        channels = {
+            key: ([(m.collective_id, m.chunk_index, m.step, m.nbytes, m.ready_time_us)
+                   for m in channel._fifo],
+                  channel.pushed_count, channel.popped_count, channel.bytes_pushed)
+            for key, channel in self.comm.channels().items()
+        }
+        return {
+            "positions": [executor.position for executor in self.executors],
+            "executed": [executor.executed_primitives for executor in self.executors],
+            "clocks": [clock.now for clock in self.clocks],
+            "traces": [list(executor.trace) for executor in self.executors],
+            "spin": [(entry.spin_threshold, entry.spin_remaining)
+                     for entry in self.entries],
+            "channels": channels,
+            "signals": [(names[key], time_us) for key, time_us in self.engine.signals],
+        }
+
+
+def _drive_burst_equivalence(make_world, budgets, bump_round=None, rounds=400):
+    """Step two identical worlds round-robin, one with ``budget=N`` calls and
+    one with N single calls, asserting identical state after every step.
+
+    Returns the outcomes that ended a burst after at least one primitive.
+    """
+    bursts, singles = make_world(), make_world()
+    mid_burst = set()
+    turn = 0
+    for round_index in range(rounds):
+        if round_index == bump_round:
+            for world in (bursts, singles):
+                world.interconnect.degrade_link(world.comm.device_id(0),
+                                                world.comm.device_id(1), beta_factor=8.0)
+        if all(executor.done() for executor in bursts.executors):
+            break
+        for rank in range(len(bursts.executors)):
+            budget = budgets[turn % len(budgets)]
+            turn += 1
+            result = bursts.burst(rank, budget)
+            assert result == singles.single_steps(rank, budget)
+            kind, _, executed = result
+            if executed and kind is not ExecOutcome.SUCCESS:
+                mid_burst.add(kind)
+            if kind in (ExecOutcome.WAIT_RECV, ExecOutcome.WAIT_SEND):
+                bursts.spin(rank)
+                singles.spin(rank)
+            assert bursts.state() == singles.state()
+    assert all(executor.done() for executor in bursts.executors)
+    return mid_burst
+
+
 class TestPrimitiveExecutor:
     def _executors(self, kind=CollectiveKind.ALL_REDUCE, group_size=4, nbytes=4096):
         comm = make_communicator(group_size)
@@ -208,6 +343,73 @@ class TestPrimitiveExecutor:
         clock = VirtualClock()
         assert executor.try_execute_current(clock).outcome is ExecOutcome.SUCCESS
         assert executor.try_execute_current(clock).outcome is ExecOutcome.ALL_DONE
+
+    # -- bursts: ``try_execute_current(budget=N)`` equals N ``budget=1`` calls
+
+    def test_burst_equals_single_calls_and_stops_on_every_outcome(self):
+        mid_burst = _drive_burst_equivalence(
+            lambda: _BurstWorld(capacity=2), budgets=(3, 1, 5, 8, 2))
+        assert mid_burst == {ExecOutcome.WAIT_RECV, ExecOutcome.WAIT_SEND,
+                             ExecOutcome.ALL_DONE}
+
+    def test_link_epoch_bump_between_bursts(self):
+        _drive_burst_equivalence(lambda: _BurstWorld(), budgets=(4, 7), bump_round=3)
+        # The bump is visible: the degraded run ends later than an undisturbed one.
+        degraded, plain = _BurstWorld(), _BurstWorld()
+        for world, bump in ((degraded, True), (plain, False)):
+            for round_index in range(400):
+                if bump and round_index == 3:
+                    world.interconnect.degrade_link(world.comm.device_id(0),
+                                                    world.comm.device_id(1),
+                                                    beta_factor=8.0)
+                for rank in range(4):
+                    world.burst(rank, 4)
+        assert all(executor.done() for executor in degraded.executors)
+        assert max(degraded.state()["clocks"]) > max(plain.state()["clocks"])
+
+    @pytest.mark.parametrize("policy", [
+        AdaptiveSpinPolicy(initial=20_000, minimum=2_000, boost=20.0),
+        NaiveSpinPolicy(threshold=10_000),
+    ], ids=["adaptive", "naive"])
+    def test_daemon_burst_keeps_spin_policy_exact(self, policy):
+        # Staggered clocks make data arrive in the receivers' future, so the
+        # spin budget decides which primitives may wait for it.
+        mid_burst = _drive_burst_equivalence(
+            lambda: _BurstWorld(start_us=[0.0, 40.0, 80.0, 120.0], policy=policy,
+                                threshold=2_000),
+            budgets=(8, 3, 16))
+        assert ExecOutcome.WAIT_RECV in mid_burst
+
+    def test_adaptive_threshold_climbs_inside_one_burst(self):
+        policy = AdaptiveSpinPolicy(initial=20_000, minimum=2_000, boost=20.0)
+        worlds = []
+        for _ in range(2):
+            # Rank 1 runs ahead: its first chunk reaches rank 0 about 50 us in
+            # rank 0's future, beyond 2,000 polls but within 40,000.
+            world = _BurstWorld(group_size=2, start_us=[0.0, 50.0], policy=policy,
+                                threshold=2_000)
+            assert world.burst(1, 1) == (ExecOutcome.SUCCESS,
+                                         world.executors[1].primitives[0], 1)
+            worlds.append(world)
+        bursts, singles = worlds
+        assert 2_000 * POLL_COST_US < bursts.comm.channel(1, 0)._fifo[0].ready_time_us \
+            < 40_000 * POLL_COST_US
+        kind, _, executed = bursts.burst(0, 8)
+        assert (kind, executed) == (ExecOutcome.WAIT_RECV, 2)
+        assert singles.single_steps(0, 8)[::2] == (kind, executed)
+        assert bursts.entries[0].spin_threshold == 400_000
+        assert bursts.entries[0].spin_remaining == 400_000
+        assert bursts.state() == singles.state()
+
+    def test_zero_progress_call_leaves_state_untouched(self):
+        world = _BurstWorld(group_size=2)
+        executor = world.executors[0]
+        assert world.burst(0, 1)[0] is ExecOutcome.SUCCESS
+        world.comm.channel(1, 0)  # the recv check would create it lazily
+        before = world.state()
+        outcome = executor.try_execute_current(world.clocks[0], world.engine, budget=8)
+        assert (outcome.outcome, outcome.executed) == (ExecOutcome.WAIT_RECV, 0)
+        assert world.state() == before
 
 
 class TestCostModel:

@@ -157,8 +157,9 @@ class TestContextManagement:
         buffer = CollectiveContextBuffer(CONFIG)
         buffer.register(0, self._static(0))
         cache = ActiveContextCache(CONFIG, buffer)
-        first = cache.load(0)
-        second = cache.load(0)
+        slot, first = cache.load(0)
+        same_slot, second = cache.load(0)
+        assert same_slot is slot and slot.coll_id == 0
         assert first > 0.0
         assert second == 0.0
         assert cache.stats.cache_hits == 1
@@ -170,8 +171,8 @@ class TestContextManagement:
         buffer.register(0, self._static(0))
         buffer.register(conflicting, self._static(conflicting))
         cache = ActiveContextCache(CONFIG, buffer)
-        cache.load(0)
-        cache.mark_progress(0)
+        slot, _ = cache.load(0)
+        slot.dirty = True  # the collective progressed
         cache.load(conflicting)
         assert cache.stats.saves == 1
 
