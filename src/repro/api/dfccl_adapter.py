@@ -1,7 +1,8 @@
 """DFCCL behind the unified ``repro.api`` front-end.
 
-The adapter owns (or shares) a :class:`~repro.core.DfcclBackend`, registers
-one DFCCL collective per logical ``(spec, key)`` of each process group with
+The adapter is DFCCL's only front end.  It owns (or shares) a
+:class:`~repro.core.DfcclBackend` — the library state — registers one DFCCL
+collective per logical ``(spec, key)`` of each process group with
 auto-assigned collective ids, and wraps every submission's
 :class:`~repro.core.api.InvocationHandle` in a :class:`DfcclWork` future.
 
@@ -15,7 +16,7 @@ from __future__ import annotations
 import statistics
 
 from repro.common.errors import ConfigurationError, InvalidStateError
-from repro.core import DfcclBackend, DfcclConfig
+from repro.core import DfcclBackend, DfcclConfig, InvocationHandle
 from repro.obs import record_link_metrics
 from repro.api.backend import CollectiveBackend, register_backend
 from repro.api.work import CompletionInfo, Work
@@ -181,7 +182,10 @@ class DfcclCollectiveBackend(CollectiveBackend):
     def create_work(self, group, spec, key, index, rank, callback=None, stream=None):
         """Submit ``rank``'s part of invocation ``index`` and wrap the handle."""
         coll = self.ensure_collective(group, spec, key)
-        handle = self.dfccl.submit(rank, coll.coll_id)
+        ctx = self.dfccl.init_rank(rank)
+        group_rank = ctx.group_rank_for(coll)
+        handle = InvocationHandle(
+            ctx, coll.next_invocation_for_rank(group_rank), group_rank)
         work = DfcclWork(group, rank, key, index, handle)
         if callback is not None:
             handle.callback = lambda invocation, work=work: callback(work)
@@ -195,7 +199,7 @@ class DfcclCollectiveBackend(CollectiveBackend):
             # Shared rank contexts serve other views; the daemon kernels
             # quit voluntarily once every tenant drained.
             return []
-        return [self.dfccl.destroy_op(rank)]
+        return [self.dfccl.init_rank(rank).destroy_op()]
 
     def quiesce(self, time_us):
         """Abort this view's unresolved invocation parts (job preemption).
@@ -269,7 +273,7 @@ class DfcclCollectiveBackend(CollectiveBackend):
 
     def stats(self, rank):
         """Per-rank daemon-kernel counters (``dfcclGetStats``)."""
-        return self.dfccl.stats(rank)
+        return self.dfccl.init_rank(rank).stats
 
     def diagnostics(self):
         """Pool, daemon and recovery statistics for conformance reports."""
@@ -319,7 +323,7 @@ class DfcclCollectiveBackend(CollectiveBackend):
             start = min(invocation.submit_times.values())
             end = max(invocation.complete_times.values())
             latencies.append(end - start)
-        stats = self.dfccl.stats(first)
+        stats = self.stats(first)
         completed = max(1, stats.cqes_written)
         return {
             "algorithm": works[0].invocation.coll.algorithm,

@@ -3,8 +3,8 @@
 Each invocation of a logical collective becomes one
 :class:`~repro.ncclsim.NcclCollectiveOp` shared by every participating rank
 (match-by-call-order, as in real NCCL); a rank's :class:`NcclWork` launches
-its dedicated kernel and waits on its per-rank completion, exactly like the
-old ``launch_collective``/``wait_collective`` op lists.
+its dedicated :class:`~repro.ncclsim.NcclCollectiveKernel` and waits on its
+per-rank completion.  This adapter is the baseline's only front end.
 
 ``tenant`` tags the view's kernels with their owning job (multi-tenant SM
 accounting) and gives it its own launch stream.  ``orchestrator`` names the
@@ -18,8 +18,9 @@ from __future__ import annotations
 
 import statistics
 
-from repro.ncclsim import NcclBackend
-from repro.ncclsim.program import launch_collective, wait_collective
+from repro.collectives.cost import DEFAULT_COST_MODEL
+from repro.gpusim.host import LaunchKernel, WaitForSignal
+from repro.ncclsim import NcclCollectiveKernel, NcclCollectiveOp, grid_size_for
 from repro.obs import record_link_metrics
 from repro.api.backend import (
     CollectiveBackend,
@@ -41,12 +42,32 @@ class NcclWork(Work):
 
     def submit_op(self):
         """Host-program op launching this rank's dedicated kernel."""
-        return launch_collective(self.backend.nccl, self.op, self.rank,
-                                 stream=self.stream, tenant=self.backend.tenant)
+        return LaunchKernel(lambda host: self._make_kernel(), stream=self.stream)
+
+    def _make_kernel(self):
+        op, group_rank = self.op, self.group_rank
+        kernel = NcclCollectiveKernel(
+            name=f"{op.name}-r{group_rank}",
+            device=op.devices[group_rank],
+            executor=op.executor_for(group_rank),
+            op=op,
+            rank=group_rank,
+            grid_size=grid_size_for(op.spec.nbytes),
+        )
+        # The tenant tag feeds the multi-tenant SM-contention accounting.
+        if self.backend.tenant is not None:
+            kernel.tenant = self.backend.tenant
+        op.register_kernel(group_rank, kernel)
+        return kernel
 
     def wait_op(self):
         """Host-program op blocking on this rank's kernel completion."""
-        return wait_collective(self.op, self.group_rank)
+        op, group_rank = self.op, self.group_rank
+        return WaitForSignal(
+            op.completion_key(group_rank),
+            predicate=lambda: op.is_complete(group_rank),
+            detail=f"wait {op.name} rank {group_rank}",
+        )
 
     @property
     def done(self):
@@ -85,43 +106,36 @@ class NcclCollectiveBackend(CollectiveBackend):
     name = "nccl"
 
     def __init__(self, cluster, cost_model=None, chunk_bytes=None, algorithm="ring",
-                 nccl=None, tenant=None, orchestrator="megatron", config=None,
-                 **_ignored):
+                 tenant=None, orchestrator="megatron", config=None, **_ignored):
         # ``config`` (a DfcclConfig) is accepted for knob-uniformity with the
         # dfccl factory and ignored: the baseline has no daemon to configure.
         del config
         super().__init__(cluster)
-        self.nccl = nccl if nccl is not None else NcclBackend(
-            cluster, cost_model=cost_model, chunk_bytes=chunk_bytes,
-            algorithm=algorithm,
-        )
+        self.cost_model = cost_model or DEFAULT_COST_MODEL
+        self.chunk_bytes = chunk_bytes or (128 << 10)
+        self.algorithm = algorithm
         self.tenant = tenant
         self.default_stream = "comm" if tenant is None else f"comm-{tenant}"
         self._orchestrator = orchestrator
-        self._comms = {}
         self._ops = {}
-
-    def _comm_for(self, ranks):
-        ranks = tuple(ranks)
-        comm = self._comms.get(ranks)
-        if comm is None:
-            comm = self.nccl.create_communicator(ranks=list(ranks))
-            self._comms[ranks] = comm
-        return comm
 
     def create_work(self, group, spec, key, index, rank, callback=None, stream=None):
         """Join invocation ``index``'s shared op and wrap this rank's part."""
-        comm = self._comm_for(group.ranks)
         ident = (group.group_id, spec, key, index)
         op = self._ops.get(ident)
         if op is None:
             suffix = "" if key is None else f":{key}"
-            op = comm.collective(
-                ident, spec,
+            op = NcclCollectiveOp(
+                spec,
+                [self.cluster.device(member) for member in group.ranks],
+                self.cluster.interconnect,
+                cost_model=self.cost_model,
+                chunk_bytes=self.chunk_bytes,
                 name=f"{group.name}:{spec.kind.value}{suffix}#{index}",
+                algorithm=self.algorithm,
             )
             self._ops[ident] = op
-        group_rank = comm.group_rank(rank)
+        group_rank = group.group_rank(rank)
         work = NcclWork(group, rank, key, index, self, op, group_rank,
                         stream if stream is not None else self.default_stream)
         if callback is not None:
@@ -136,15 +150,18 @@ class NcclCollectiveBackend(CollectiveBackend):
         return resolve_orchestrator(self._orchestrator, world_size)
 
     def job_view(self, job):
-        """A tenant-tagged view sharing this adapter's NcclBackend."""
-        return NcclCollectiveBackend(self.cluster, nccl=self.nccl, tenant=job,
-                                     orchestrator=self._orchestrator)
+        """A tenant-tagged view with this adapter's settings."""
+        return NcclCollectiveBackend(
+            self.cluster, cost_model=self.cost_model,
+            chunk_bytes=self.chunk_bytes, algorithm=self.algorithm,
+            tenant=job, orchestrator=self._orchestrator)
 
     # -- reporting -----------------------------------------------------------------
 
     def diagnostics(self):
         """Communicator counts plus the metrics-registry snapshot."""
-        diag = {"communicators": len(self.nccl.communicators)}
+        diag = {"communicators": len({tuple(op.devices)
+                                      for op in self._ops.values()})}
         obs = self.cluster.engine.obs
         if obs.enabled:
             record_link_metrics(

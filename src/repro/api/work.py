@@ -7,9 +7,9 @@ how to produce the host ops that perform the asynchronous submission
 ``done``, and exposes post-run introspection (``completion_info``,
 ``primitive_sequence``) that is identical in shape for every backend.
 
-The class subsumes both of the pre-existing per-backend surfaces: DFCCL's
-:class:`~repro.core.api.InvocationHandle` and the raw
-``launch_collective``/``wait_collective`` op lists of the NCCL baseline.
+Work is the only invocation surface applications see: the DFCCL adapter
+wraps the library's :class:`~repro.core.api.InvocationHandle`, and the NCCL
+adapter builds each rank's kernel launch and completion wait itself.
 """
 
 from __future__ import annotations

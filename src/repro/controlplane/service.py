@@ -69,14 +69,6 @@ class ControlPlane(ClusterScheduler):
         self.rejoins = 0
         self.grow_events = 0
 
-    def on_registered(self, engine):
-        super().on_registered(engine)
-        if engine.obs.enabled:
-            engine.obs.metrics.gauge_fn(
-                "jobs_running",  # refresh over the base registration
-                lambda: sum(1 for record in self.jobs.values()
-                            if record.state is JobState.RUNNING))
-
     # -- the action queue --------------------------------------------------------
 
     def schedule(self, time_us, action):
@@ -307,7 +299,7 @@ class ControlPlane(ClusterScheduler):
             # is checkpointed, so the job is complete without a resume.
             record.state = JobState.COMPLETED
             record.finish_time_us = now
-            self.runner.release_job(record.job_id)
+            self.runner.backend.release_job(record.job_id)
             self.events.append((now, "finish", record.job_id))
         else:
             record.state = JobState.QUEUED

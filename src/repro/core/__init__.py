@@ -2,8 +2,9 @@
 
 The package mirrors the architecture of Fig. 4:
 
-* CPU side: the rank context driven through :class:`DfcclBackend` (init /
-  register / submit / destroy), the submission queue (SQ), the completion
+* CPU side: the library state in :class:`DfcclBackend` and the per-GPU
+  :class:`RankContext` (init / register / run / destroy, driven through the
+  ``repro.api`` dfccl adapter), the submission queue (SQ), the completion
   queue (CQ, in three implementation variants), the callback map, and the
   poller thread.
 * GPU side: the daemon kernel, which fetches SQEs, keeps collectives in its

@@ -1,23 +1,24 @@
-"""Public DFCCL API: rank contexts, registration, invocation and destruction.
+"""DFCCL's CPU-side library state: rank contexts, registration, invocation.
 
-The CPU-side flow mirrors Listing 1 of the paper:
+The flow mirrors Listing 1 of the paper; applications drive it through
+``repro.api.make_backend("dfccl", ...)``, whose adapter calls into here:
 
-* ``DfcclBackend.init_rank`` / ``dfccl_init``  — create the rank context
+* ``DfcclBackend.init_rank`` (``dfcclInit``) — create the :class:`RankContext`
   (SQ, CQ, callback map, poller thread) for one GPU;
-* ``register_*`` / ``dfccl_register_*`` — register a collective once, with its
-  spec, device set and optional priority;
-* ``submit`` / ``dfccl_run_*`` — invoke a registered collective, recording a
-  callback; the call is asynchronous and non-blocking;
-* ``destroy`` / ``dfccl_destroy`` — insert the exiting SQE and tear down.
+* ``DfcclBackend.register_collective`` (``dfcclRegister*``) — register a
+  collective once, with its spec, device set and optional priority;
+* :class:`InvocationHandle` (``dfcclRun*``) — one rank's asynchronous,
+  non-blocking invocation of a registered collective with its callback;
+* ``RankContext.destroy_op`` (``dfcclDestroy``) — insert the exiting SQE and
+  tear down.
 """
 
 from __future__ import annotations
 
 from repro.common.errors import ConfigurationError, InvalidStateError
-from repro.common.types import CollectiveKind, CollectiveSpec, DataType, ReduceOp
 from repro.core.communicator_pool import CommunicatorPool
 from repro.core.config import DfcclConfig
-from repro.core.context import CollectiveContextBuffer, memory_overhead_report
+from repro.core.context import CollectiveContextBuffer
 from repro.core.daemon import DaemonKernel
 from repro.core.poller import Poller
 from repro.core.queues import Sqe, SubmissionQueue, make_completion_queue
@@ -207,9 +208,6 @@ class RankContext:
             return None
         return coll.invocation(sqe.invocation_id)
 
-    def note_entry_fetched(self, invocation, priority):
-        """Hook for statistics when the daemon adds a fetched SQE to its queue."""
-
     # -- daemon lifecycle ---------------------------------------------------------------
 
     def ensure_daemon_running(self, time_us):
@@ -367,15 +365,14 @@ class RankContext:
         """Host op performing ``dfccl_destroy`` for this rank."""
         return CallHook(lambda host: self.destroy(host.now), detail="dfccl_destroy")
 
-    # -- reporting ------------------------------------------------------------------------------
-
-    def memory_overheads(self, num_collectives=None):
-        count = num_collectives if num_collectives is not None else len(self.registered)
-        return memory_overhead_report(self.config, count, num_blocks=self.daemon_grid_size())
-
 
 class DfcclBackend:
-    """DFCCL over a simulated cluster: the entry point for applications."""
+    """DFCCL's library state over a simulated cluster.
+
+    Holds what the ``repro.api`` adapter and the recovery manager share: the
+    config, the communicator pool, the rank contexts and the registered
+    collectives.
+    """
 
     def __init__(self, cluster, config=None):
         self.cluster = cluster
@@ -407,13 +404,6 @@ class DfcclBackend:
                 )
         return ctx
 
-    def init_all_ranks(self, ranks=None):
-        ranks = ranks if ranks is not None else range(self.cluster.world_size)
-        return [self.init_rank(rank) for rank in ranks]
-
-    def context(self, global_rank):
-        return self.init_rank(global_rank)
-
     # -- registration (dfccl_register_*) ----------------------------------------------------------
 
     def register_collective(self, coll_id, spec, ranks=None, priority=0, name=None,
@@ -438,9 +428,6 @@ class DfcclBackend:
         for rank in ranks:
             self.init_rank(rank).register(coll)
         return coll
-
-    def collective(self, coll_id):
-        return self._collectives[coll_id]
 
     def unregister_collective(self, coll_id):
         """Unregister a collective and recycle its communicator — ``dfcclUnregister``.
@@ -479,61 +466,7 @@ class DfcclBackend:
                 return candidate
             n += 1
 
-    def register_all_reduce(self, coll_id, count, ranks=None, dtype=DataType.FLOAT32,
-                            op=ReduceOp.SUM, priority=0, name=None, job=None):
-        spec = CollectiveSpec(CollectiveKind.ALL_REDUCE, count, dtype, op, priority=priority)
-        return self.register_collective(coll_id, spec, ranks, priority, name=name, job=job)
-
-    def register_all_gather(self, coll_id, count, ranks=None, dtype=DataType.FLOAT32,
-                            priority=0, name=None, job=None):
-        spec = CollectiveSpec(CollectiveKind.ALL_GATHER, count, dtype, priority=priority)
-        return self.register_collective(coll_id, spec, ranks, priority, name=name, job=job)
-
-    def register_reduce_scatter(self, coll_id, count, ranks=None, dtype=DataType.FLOAT32,
-                                op=ReduceOp.SUM, priority=0, name=None, job=None):
-        spec = CollectiveSpec(CollectiveKind.REDUCE_SCATTER, count, dtype, op,
-                              priority=priority)
-        return self.register_collective(coll_id, spec, ranks, priority, name=name, job=job)
-
-    def register_broadcast(self, coll_id, count, ranks=None, dtype=DataType.FLOAT32,
-                           root=0, priority=0, name=None, job=None):
-        spec = CollectiveSpec(CollectiveKind.BROADCAST, count, dtype, root=root,
-                              priority=priority)
-        return self.register_collective(coll_id, spec, ranks, priority, name=name, job=job)
-
-    def register_reduce(self, coll_id, count, ranks=None, dtype=DataType.FLOAT32,
-                        op=ReduceOp.SUM, root=0, priority=0, name=None, job=None):
-        spec = CollectiveSpec(CollectiveKind.REDUCE, count, dtype, op, root=root,
-                              priority=priority)
-        return self.register_collective(coll_id, spec, ranks, priority, name=name, job=job)
-
-    # -- invocation (dfccl_run_*) ----------------------------------------------------------------
-
-    def submit(self, global_rank, coll_id, callback=None):
-        """Prepare one ``dfccl_run_*`` call; returns an :class:`InvocationHandle`.
-
-        The returned handle produces the host ops that perform the actual
-        asynchronous submission and the optional wait for completion.
-        """
-        ctx = self.context(global_rank)
-        coll = self._collectives[coll_id]
-        group_rank = ctx.group_rank_for(coll)
-        invocation = coll.next_invocation_for_rank(group_rank)
-        return InvocationHandle(ctx, invocation, group_rank, callback=callback)
-
-    # -- destruction (dfccl_destroy) ----------------------------------------------------------------
-
-    def destroy_op(self, global_rank):
-        return self.context(global_rank).destroy_op()
-
     # -- reporting ---------------------------------------------------------------------------------
-
-    def stats(self, global_rank):
-        return self.context(global_rank).stats
 
     def all_stats(self):
         return {rank: ctx.stats for rank, ctx in sorted(self.contexts.items())}
-
-    def memory_overhead_report(self, num_collectives=None):
-        count = num_collectives if num_collectives is not None else len(self._collectives)
-        return memory_overhead_report(self.config, count)

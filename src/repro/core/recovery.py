@@ -60,9 +60,6 @@ class RecoveryStats:
     rejoins: int = 0
     events: list = field(default_factory=list)
 
-    def last_event(self):
-        return self.events[-1] if self.events else None
-
 
 class RecoveryManager(Actor):
     """Service actor performing CQE-timeout crash detection and group shrink."""

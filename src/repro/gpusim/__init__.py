@@ -6,8 +6,8 @@ collective deadlocks and collective performance:
 
 * GPUs with a bounded number of resident blocks (mutual exclusion over SMs),
 * CUDA streams with in-order launch semantics,
-* explicit (``device_synchronize``) and implicit (pinned-memory allocation,
-  default-stream work) GPU synchronization,
+* explicit and implicit (``DeviceSynchronize(implicit=True)``: the sync a
+  pinned-memory allocation or default-stream work causes) GPU synchronization,
 * an alpha/beta interconnect cost model with PIX / SYS / RDMA domains,
 * host threads that drive the GPUs like a rank process would.
 

@@ -15,7 +15,7 @@ from repro.gpusim.device import GpuDevice
 from repro.gpusim.engine import Engine
 from repro.gpusim.host import HostThread
 from repro.gpusim.interconnect import Interconnect, TopologySpec
-from repro.gpusim.memory import GpuMemoryModel, PinnedHostAllocator
+from repro.gpusim.memory import GpuMemoryModel
 
 
 @dataclass(frozen=True)
@@ -150,7 +150,6 @@ class Cluster:
         )
         self.devices = []
         self._devices_by_id = {}
-        self._pinned = {}
         self.hosts = {}
         #: Construction knobs, kept so :meth:`add_node` builds growth nodes
         #: with the same overrides as the original ones.
@@ -165,7 +164,6 @@ class Cluster:
 
     def _build_node(self, node_index, node, time_us=None):
         """Instantiate one node's devices (without engine registration)."""
-        self._pinned[node_index] = PinnedHostAllocator()
         added = []
         for local_rank in range(node.num_gpus):
             device_id = DeviceId(node=node_index, local_rank=local_rank)
@@ -201,9 +199,6 @@ class Cluster:
 
     def rank_of(self, device):
         return self.devices.index(device)
-
-    def pinned_allocator(self, node_index):
-        return self._pinned[node_index]
 
     def failed_devices(self):
         return [device for device in self.devices if device.failed]

@@ -444,9 +444,3 @@ class GpuDevice(Actor):
 
     def has_pending_work(self):
         return any(stream.pending for stream in self.streams.values())
-
-    def is_idle(self):
-        return not self.resident and not self.has_pending_work()
-
-    def resident_kernel_names(self):
-        return sorted(kernel.name for kernel in self.resident)

@@ -417,9 +417,6 @@ class Engine:
         """
         return self._horizon
 
-    def _live_actors(self):
-        return [actor for actor in self._actors if not actor.finished]
-
     def _live_workers(self):
         """Live non-daemon actors; when none remain the simulation is over."""
         return [
@@ -560,6 +557,3 @@ class Engine:
     @property
     def step_count(self):
         return self._steps
-
-    def blocked_actor_names(self):
-        return [actor.name for actor in self._blocked]

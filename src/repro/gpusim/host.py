@@ -2,15 +2,13 @@
 
 A :class:`HostThread` is the simulated rank process: it executes a
 :class:`HostProgram`, a sequence of host operations such as launching a
-kernel, synchronizing the device, allocating pinned memory (which triggers an
-implicit synchronization), burning CPU time, or waiting for a completion
-callback.  Host programs may be plain lists of ops or generator functions, so
+kernel, synchronizing the device, burning CPU time, or waiting for a
+completion callback.  Host programs may be plain lists of ops or generator functions, so
 backends can build them dynamically at run time.
 """
 
 from __future__ import annotations
 
-from repro.common.errors import InvalidStateError
 from repro.gpusim.engine import Actor, StepResult
 
 
@@ -68,27 +66,6 @@ class DeviceSynchronize(HostOp):
         return StepResult.blocked([self._barrier.wait_key], "device synchronize")
 
 
-class AllocPinnedMemory(HostOp):
-    """Allocate page-locked host memory, triggering an implicit GPU sync."""
-
-    def __init__(self, name, nbytes):
-        self.name = name
-        self.nbytes = nbytes
-        self._sync = DeviceSynchronize(implicit=True)
-        self._allocated = False
-
-    def poll(self, host):
-        result = self._sync.poll(host)
-        if result.status.value == "blocked":
-            return result
-        if not self._allocated:
-            self._allocated = True
-            allocator = host.cluster.pinned_allocator(host.device.device_id.node)
-            allocator.allocate(f"{host.name}:{self.name}", self.nbytes, host.now)
-            host.clock.advance(allocator.ALLOC_COST_US)
-        return StepResult.progress(f"pinned alloc {self.name}")
-
-
 class CpuCompute(HostOp):
     """Burn CPU time (model for the framework's Python/C++ work)."""
 
@@ -117,8 +94,6 @@ class WaitForSignal(HostOp):
 
     def poll(self, host):
         if self.predicate is not None and self.predicate():
-            return StepResult.progress(self.detail)
-        if self.predicate is None and host.consume_signal(self.key):
             return StepResult.progress(self.detail)
         return StepResult.blocked([self.key], self.detail)
 
@@ -159,23 +134,7 @@ class HostThread(Actor):
         self._program = program or HostProgram([])
         self._iterator = None
         self._current_op = None
-        self._received_signals = set()
         self.executed_ops = 0
-
-    def set_program(self, program):
-        if self._iterator is not None:
-            raise InvalidStateError(f"host {self.name} already started its program")
-        self._program = program
-
-    def deliver_signal(self, key):
-        """Record a locally delivered signal for :class:`WaitForSignal` ops."""
-        self._received_signals.add(key)
-
-    def consume_signal(self, key):
-        if key in self._received_signals:
-            self._received_signals.discard(key)
-            return True
-        return False
 
     def step(self):
         if self._iterator is None:

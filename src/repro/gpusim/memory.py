@@ -4,13 +4,12 @@ The paper reports DFCCL's workload-independent *memory* overheads (Sec. 6.2):
 shared memory per block for the task queue and active context slots, and
 global memory for the collective context buffer.  This module provides the
 bookkeeping used to reproduce those numbers, plus a pinned (page-locked) host
-memory allocator whose allocations trigger implicit GPU synchronization —
-one of the deadlock ingredients of Sec. 2.3.
+memory allocator.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from repro.common.errors import ResourceExhaustedError
 
@@ -71,10 +70,6 @@ class MemoryAccountant:
         self._used -= region.nbytes
         return region
 
-    def usage_report(self):
-        """Return a mapping of region name to size, for overhead reports."""
-        return {name: region.nbytes for name, region in self._regions.items()}
-
     def __contains__(self, name):
         return name in self._regions
 
@@ -120,22 +115,9 @@ class PinnedHostAllocator:
 class GpuMemoryModel:
     """The memory spaces of one simulated GPU."""
 
-    shared_per_block_bytes: int = 100 << 10
     global_bytes: int = 12 << 30
-
-    shared: dict = field(default_factory=dict)
     global_mem: MemoryAccountant = None
 
     def __post_init__(self):
         if self.global_mem is None:
             self.global_mem = MemoryAccountant("gpu-global", self.global_bytes)
-
-    def shared_for_block(self, block_index):
-        """Return (creating on demand) the shared-memory accountant of a block."""
-        accountant = self.shared.get(block_index)
-        if accountant is None:
-            accountant = MemoryAccountant(
-                f"gpu-shared-block{block_index}", self.shared_per_block_bytes
-            )
-            self.shared[block_index] = accountant
-        return accountant

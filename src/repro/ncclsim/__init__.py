@@ -6,21 +6,20 @@ stream; once resident, the kernel holds its blocks and busy-waits indefinitely
 on its connectors until every peer is ready; there is no preemption.  The
 launch order, stream assignment and GPU synchronization are entirely up to the
 application, which is exactly how the circular dependencies of Fig. 1 arise.
+
+The package holds the op (:class:`NcclCollectiveOp`, one collective call
+shared by its ranks) and the kernel (:class:`NcclCollectiveKernel`, one
+rank's dedicated part); applications reach them through
+``repro.api.make_backend("nccl", ...)``, whose adapter builds both.
 """
 
-from repro.ncclsim.api import NcclBackend, NcclCommunicator
 from repro.ncclsim.kernels import NcclCollectiveKernel, grid_size_for
 from repro.ncclsim.mpi_baseline import CudaAwareMpiModel
 from repro.ncclsim.ops import NcclCollectiveOp
-from repro.ncclsim.program import launch_collective, wait_collective
 
 __all__ = [
     "CudaAwareMpiModel",
-    "NcclBackend",
     "NcclCollectiveKernel",
     "NcclCollectiveOp",
-    "NcclCommunicator",
     "grid_size_for",
-    "launch_collective",
-    "wait_collective",
 ]

@@ -16,7 +16,7 @@ from repro.api import (
 )
 from repro.common.errors import ConfigurationError, DeadlockError
 from repro.common.types import CollectiveKind, CollectiveSpec
-from repro.core import DfcclBackend, DfcclConfig
+from repro.core import DfcclConfig
 from repro.gpusim import HostProgram, build_cluster
 from repro.workloads import (
     GroupTrainingBackend,
@@ -273,24 +273,24 @@ class TestTrainingThroughApi:
         assert type(a) is type(b) is GroupTrainingBackend
 
 
-class TestSatelliteRegisterForwarding:
-    """register_* must forward name=/job= instead of silently dropping them."""
+class TestRegisterForwarding:
+    """A job view's calls register under the group's name and the view's job."""
 
-    @pytest.mark.parametrize("register, kwargs", [
-        ("register_all_reduce", {}),
-        ("register_all_gather", {}),
-        ("register_reduce_scatter", {}),
-        ("register_broadcast", {"root": 1}),
-        ("register_reduce", {"root": 1}),
+    @pytest.mark.parametrize("kind, kwargs", [
+        ("all_reduce", {}),
+        ("all_gather", {}),
+        ("reduce_scatter", {}),
+        ("broadcast", {"root": 1}),
+        ("reduce", {"root": 1}),
     ])
-    def test_name_and_job_forwarded(self, register, kwargs):
+    def test_name_and_job_forwarded(self, kind, kwargs):
         cluster = build_cluster("single-3090")
-        backend = DfcclBackend(cluster, DfcclConfig())
-        coll = getattr(backend, register)(
-            ("jobX", 0), count=256, ranks=[0, 1], name="my-coll", job="jobX",
-            **kwargs,
-        )
-        assert coll.name == "my-coll"
+        view = make_backend("dfccl", cluster, config=DfcclConfig()).job_view("jobX")
+        group = view.new_group([0, 1], name="my-coll")
+        work = getattr(group, kind)(0, 256, **kwargs)
+        coll = work.invocation.coll
+        assert coll.coll_id == ("jobX", 0)
+        assert coll.name == f"my-coll:{kind}"
         assert coll.job == "jobX"
 
 
@@ -310,6 +310,75 @@ class TestRemovedShims:
         assert not hasattr(multijob, "NcclJobRunner")
         assert not hasattr(multijob, "JobRunner")
 
+    def test_ncclsim_communicator_layer_is_gone(self):
+        import importlib
+
+        import repro.ncclsim as ncclsim
+
+        for name in ("NcclBackend", "NcclCommunicator",
+                     "launch_collective", "wait_collective"):
+            assert not hasattr(ncclsim, name), name
+        for module in ("repro.ncclsim.api", "repro.ncclsim.program"):
+            with pytest.raises(ModuleNotFoundError):
+                importlib.import_module(module)
+
+    def test_dfccl_backend_test_only_surface_is_gone(self):
+        from repro.core import DfcclBackend, RankContext
+
+        for name in ("register_all_reduce", "register_all_gather",
+                     "register_reduce_scatter", "register_broadcast",
+                     "register_reduce", "init_all_ranks", "context",
+                     "collective", "submit", "destroy_op", "stats",
+                     "memory_overhead_report"):
+            assert not hasattr(DfcclBackend, name), name
+        for name in ("note_entry_fetched", "memory_overheads"):
+            assert not hasattr(RankContext, name), name
+
+    @pytest.mark.parametrize("module, owner, name", [
+        ("repro.bench.reporting", None, "human_bytes"),
+        ("repro.collectives.channels", "Communicator", "group_rank_of"),
+        ("repro.collectives.primitives", "PrimitiveExecutor", "total_primitives"),
+        ("repro.core.context", "StaticContext", "nbytes_estimate"),
+        ("repro.core.context", "DynamicContext", "as_dict"),
+        ("repro.core.recovery", "RecoveryStats", "last_event"),
+        ("repro.deadlock.dependency_graph", "DependencyGraph", "successors"),
+        ("repro.deadlock.fault_scenarios", "FaultDeadlockAnalysis",
+         "involved_ranks"),
+        ("repro.deadlock.grouping", "GroupedWorkload", "group_of"),
+        ("repro.faults.plan", "FaultPlan", "add_link_degradation"),
+        ("repro.gpusim.cluster", "Cluster", "pinned_allocator"),
+        ("repro.gpusim.device", "GpuDevice", "is_idle"),
+        ("repro.gpusim.device", "GpuDevice", "resident_kernel_names"),
+        ("repro.gpusim.engine", "Engine", "_live_actors"),
+        ("repro.gpusim.engine", "Engine", "blocked_actor_names"),
+        ("repro.gpusim.host", None, "AllocPinnedMemory"),
+        ("repro.gpusim.host", "HostThread", "set_program"),
+        ("repro.gpusim.host", "HostThread", "deliver_signal"),
+        ("repro.gpusim.host", "HostThread", "consume_signal"),
+        ("repro.gpusim.memory", "MemoryAccountant", "usage_report"),
+        ("repro.gpusim.memory", "GpuMemoryModel", "shared_for_block"),
+        ("repro.multijob.jobs", "JobRecord", "service_time_us"),
+        ("repro.workloads.parallelism", "ParallelPlan", "all_schedules"),
+        ("repro.controlplane.service", "ControlPlane", "on_registered"),
+    ])
+    def test_dead_definitions_are_gone(self, module, owner, name):
+        import importlib
+
+        scope = importlib.import_module(module)
+        if owner is not None:
+            scope = vars(getattr(scope, owner))
+            assert name not in scope, f"{owner}.{name}"
+        else:
+            assert not hasattr(scope, name), name
+
+    def test_runner_legacy_accessors_are_gone(self):
+        from repro.multijob import make_job_runner
+
+        cluster = build_cluster("single-3090", deadlock_mode="record")
+        runner = make_job_runner("dfccl", cluster, seed=1)
+        for name in ("dfccl", "nccl", "release_job"):
+            assert not hasattr(runner, name), name
+
     def test_listing1_aliases_are_gone(self):
         from repro.core import api as core_api
 
@@ -325,8 +394,6 @@ class TestRemovedShims:
         cluster = build_cluster("single-3090", deadlock_mode="record")
         runner = make_job_runner("dfccl", cluster, seed=1)
         assert isinstance(runner, ClusterJobRunner)
-        # Legacy attribute access resolves through the adapter.
-        assert runner.dfccl is runner.backend.dfccl
         with pytest.raises(ConfigurationError):
             make_job_runner("bogus", cluster)
 

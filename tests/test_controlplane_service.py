@@ -4,13 +4,13 @@ import json
 
 import pytest
 
+from repro.api import make_backend
 from repro.common.errors import ConfigurationError, InvalidStateError
 from repro.controlplane import (
     JobCheckpoint,
     collective_fingerprints,
     install_control_plane,
 )
-from repro.core import DfcclBackend
 from repro.core.queues import Sqe
 from repro.gpusim import HostProgram, build_cluster
 from repro.gpusim.host import CpuCompute
@@ -414,8 +414,8 @@ class TestStaleSqeHandling:
         """A fetched SQE whose collective was unregistered (preempted job)
         resolves to ``None`` instead of raising; the daemon drops it."""
         cluster = _cluster()
-        backend = DfcclBackend(cluster)
-        ctx = backend.init_rank(0)
+        backend = make_backend("dfccl", cluster)
+        ctx = backend.dfccl.init_rank(0)
         sqe = Sqe(coll_id=4_242, invocation_id=0)
         assert ctx.invocation_for_sqe(sqe) is None
 

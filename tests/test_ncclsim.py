@@ -2,31 +2,38 @@
 
 import pytest
 
+from repro.api import make_backend
 from repro.common.errors import DeadlockError
 from repro.gpusim import HostProgram, build_cluster
 from repro.gpusim.host import DeviceSynchronize
-from repro.ncclsim import CudaAwareMpiModel, NcclBackend, grid_size_for
-from repro.ncclsim.program import launch_collective, wait_collective
+from repro.ncclsim import CudaAwareMpiModel, grid_size_for
 
 
 def _two_collective_cluster(max_blocks=None):
     cluster = build_cluster("single-3090", max_resident_blocks=max_blocks)
-    backend = NcclBackend(cluster)
-    comm = backend.create_communicator(ranks=[0, 1])
-    op_a = comm.all_reduce(0, count=1024)
-    op_b = comm.all_reduce(1, count=1024)
-    return cluster, backend, comm, op_a, op_b
+    backend = make_backend("nccl", cluster)
+    group = backend.new_group([0, 1])
+    return cluster, group
 
 
-def _program(backend, comm, rank, ordered_ops, streams=None, sync_after_first=False):
+def _program(group, rank, order, streams=None, sync_after_first=False):
+    """Rank ``rank`` launches the all-reduces keyed ``order`` in that order."""
+    works = [group.all_reduce(rank, count=1024, key=key,
+                              stream=streams[index] if streams else "default")
+             for index, key in enumerate(order)]
     ops = []
-    for index, op in enumerate(ordered_ops):
-        stream = streams[index] if streams else "default"
-        ops.append(launch_collective(backend, op, rank, stream=stream))
+    for index, work in enumerate(works):
+        ops.append(work.submit_op())
         if sync_after_first and index == 0:
             ops.append(DeviceSynchronize())
-    ops += [wait_collective(op, comm.group_rank(rank)) for op in ordered_ops]
-    return HostProgram(ops)
+    ops += [work.wait_op() for work in works]
+    return HostProgram(ops), works
+
+
+def _run(cluster, *programs):
+    cluster.add_hosts([program for program, _ in programs])
+    cluster.run()
+    return [work.op for work in programs[0][1]]
 
 
 class TestGridSize:
@@ -40,51 +47,49 @@ class TestGridSize:
 
 class TestBasicSituations:
     def test_fig1a_consistent_order_completes(self):
-        cluster, backend, comm, op_a, op_b = _two_collective_cluster()
-        cluster.add_hosts([
-            _program(backend, comm, 0, [op_a, op_b]),
-            _program(backend, comm, 1, [op_a, op_b]),
-        ])
-        cluster.run()
+        cluster, group = _two_collective_cluster()
+        op_a, op_b = _run(cluster, _program(group, 0, ["a", "b"]),
+                          _program(group, 1, ["a", "b"]))
         assert op_a.fully_complete() and op_b.fully_complete()
 
     def test_fig1c_single_queue_disorder_deadlocks(self):
-        cluster, backend, comm, op_a, op_b = _two_collective_cluster()
-        cluster.add_hosts([
-            _program(backend, comm, 0, [op_a, op_b]),
-            _program(backend, comm, 1, [op_b, op_a]),
-        ])
+        cluster, group = _two_collective_cluster()
         with pytest.raises(DeadlockError):
-            cluster.run()
+            _run(cluster, _program(group, 0, ["a", "b"]),
+                 _program(group, 1, ["b", "a"]))
 
     def test_fig1b_disorder_with_streams_and_resources_completes(self):
-        cluster, backend, comm, op_a, op_b = _two_collective_cluster()
-        cluster.add_hosts([
-            _program(backend, comm, 0, [op_a, op_b], streams=["sa", "sb"]),
-            _program(backend, comm, 1, [op_b, op_a], streams=["sb", "sa"]),
-        ])
-        cluster.run()
+        cluster, group = _two_collective_cluster()
+        op_a, op_b = _run(
+            cluster,
+            _program(group, 0, ["a", "b"], streams=["sa", "sb"]),
+            _program(group, 1, ["b", "a"], streams=["sb", "sa"]),
+        )
         assert op_a.fully_complete() and op_b.fully_complete()
 
     def test_fig1c_resource_depletion_deadlocks(self):
-        cluster, backend, comm, op_a, op_b = _two_collective_cluster(max_blocks=1)
-        cluster.add_hosts([
-            _program(backend, comm, 0, [op_a, op_b], streams=["sa", "sb"]),
-            _program(backend, comm, 1, [op_b, op_a], streams=["sb", "sa"]),
-        ])
+        cluster, group = _two_collective_cluster(max_blocks=1)
         with pytest.raises(DeadlockError):
-            cluster.run()
+            _run(cluster,
+                 _program(group, 0, ["a", "b"], streams=["sa", "sb"]),
+                 _program(group, 1, ["b", "a"], streams=["sb", "sa"]))
 
     def test_fig1d_sync_related_deadlock(self):
-        cluster, backend, comm, op_a, op_b = _two_collective_cluster()
-        cluster.add_hosts([
-            _program(backend, comm, 0, [op_a, op_b], streams=["sa", "sb"],
-                     sync_after_first=True),
-            _program(backend, comm, 1, [op_b, op_a], streams=["sb", "sa"],
-                     sync_after_first=True),
-        ])
+        cluster, group = _two_collective_cluster()
         with pytest.raises(DeadlockError):
-            cluster.run()
+            _run(cluster,
+                 _program(group, 0, ["a", "b"], streams=["sa", "sb"],
+                          sync_after_first=True),
+                 _program(group, 1, ["b", "a"], streams=["sb", "sa"],
+                          sync_after_first=True))
+
+
+def _run_everywhere(cluster, group, call):
+    """Every group rank runs ``call(group, rank)``'s work to completion."""
+    works = [call(group, rank) for rank in group.ranks]
+    cluster.add_hosts([HostProgram(work.ops()) for work in works])
+    cluster.run()
+    return works[0].op
 
 
 class TestCollectiveExecution:
@@ -94,30 +99,17 @@ class TestCollectiveExecution:
     ])
     def test_all_kinds_complete_on_eight_gpus(self, kind, count):
         cluster = build_cluster("single-3090")
-        backend = NcclBackend(cluster)
-        comm = backend.create_communicator()
-        op = getattr(comm, kind)(0, count)
-        programs = [
-            HostProgram([launch_collective(backend, op, rank),
-                         wait_collective(op, rank)])
-            for rank in range(8)
-        ]
-        cluster.add_hosts(programs)
-        cluster.run()
+        group = make_backend("nccl", cluster).new_group()
+        op = _run_everywhere(cluster, group,
+                             lambda g, rank: getattr(g, kind)(rank, count))
         assert op.fully_complete()
 
     def test_larger_buffers_take_longer(self):
         def run(nbytes):
             cluster = build_cluster("single-3090")
-            backend = NcclBackend(cluster)
-            comm = backend.create_communicator()
-            op = comm.all_reduce(0, count=nbytes // 4)
-            cluster.add_hosts([
-                HostProgram([launch_collective(backend, op, rank),
-                             wait_collective(op, rank)])
-                for rank in range(8)
-            ])
-            cluster.run()
+            group = make_backend("nccl", cluster).new_group()
+            op = _run_everywhere(
+                cluster, group, lambda g, rank: g.all_reduce(rank, nbytes // 4))
             return op.completion_time()
 
         assert run(8 << 20) > run(64 << 10)
@@ -125,25 +117,19 @@ class TestCollectiveExecution:
     def test_cross_node_slower_than_single_node(self):
         def run(topology, world):
             cluster = build_cluster(topology)
-            backend = NcclBackend(cluster)
-            comm = backend.create_communicator(ranks=list(range(world)))
-            op = comm.all_reduce(0, count=(1 << 20) // 4)
-            cluster.add_hosts([
-                HostProgram([launch_collective(backend, op, rank),
-                             wait_collective(op, comm.group_rank(rank))])
-                for rank in range(world)
-            ])
-            cluster.run()
+            group = make_backend("nccl", cluster).new_group(list(range(world)))
+            op = _run_everywhere(
+                cluster, group,
+                lambda g, rank: g.all_reduce(rank, (1 << 20) // 4))
             return op.completion_time()
 
         assert run("dual-3090", 16) > run("single-3090", 8)
 
     def test_rank_not_in_communicator_rejected(self):
         cluster = build_cluster("single-3090")
-        backend = NcclBackend(cluster)
-        comm = backend.create_communicator(ranks=[0, 1])
+        group = make_backend("nccl", cluster).new_group([0, 1])
         with pytest.raises(Exception):
-            comm.group_rank(5)
+            group.group_rank(5)
 
 
 class TestMpiBaseline:

@@ -2,12 +2,14 @@
 
 import pytest
 
+from repro.api import make_backend
 from repro.collectives.sequences import (
     generate_primitive_sequence,
     hierarchical_island_size,
 )
 from repro.common.errors import ConfigurationError, InvalidStateError
-from repro.core import CommunicatorPool, DfcclBackend, DfcclConfig
+from repro.common.types import CollectiveKind, CollectiveSpec
+from repro.core import CommunicatorPool, DfcclConfig
 from repro.core import registration
 from repro.faults import FaultPlan, install_fault_plan, run_dfccl_chaos
 from repro.gpusim import HostProgram, build_cluster
@@ -18,28 +20,51 @@ pytestmark = pytest.mark.timeout(300)
 
 def run_simple(config=None, num_gpus=2, coll_sizes=(1024, 1024), with_sync=False,
                orders=None, iterations=1):
+    """Run all-reduces keyed ``0..`` (collective id = key) in per-rank orders."""
     cluster = build_cluster("single-3090")
-    backend = DfcclBackend(cluster, config)
+    backend = make_backend("dfccl", cluster, config=config)
     ranks = list(range(num_gpus))
-    backend.init_all_ranks(ranks)
+    group = backend.new_group(ranks)
     for coll_id, count in enumerate(coll_sizes):
-        backend.register_all_reduce(coll_id, count=count, ranks=ranks)
+        group.ensure_collective(
+            CollectiveSpec(CollectiveKind.ALL_REDUCE, count), key=coll_id)
     programs = []
     for rank in ranks:
         ops = []
         for iteration in range(iterations):
             order = orders(rank, iteration) if orders else list(range(len(coll_sizes)))
-            handles = [backend.submit(rank, coll_id) for coll_id in order]
-            for index, handle in enumerate(handles):
-                ops.append(handle.submit_op())
+            works = [group.all_reduce(rank, coll_sizes[coll_id], key=coll_id)
+                     for coll_id in order]
+            for index, work in enumerate(works):
+                ops.append(work.submit_op())
                 if with_sync and index == 0:
                     ops.append(DeviceSynchronize())
-            ops += [handle.wait_op() for handle in handles]
-        ops.append(backend.destroy_op(rank))
+            ops += [work.wait_op() for work in works]
+        ops += backend.finalize_ops(rank)
         programs.append(HostProgram(ops))
     cluster.add_hosts(programs)
     final_time = cluster.run()
     return cluster, backend, final_time
+
+
+def _group(ranks, config=None, topology="single-3090"):
+    """A DFCCL process group over ``ranks``; returns (cluster, backend, group)."""
+    cluster = build_cluster(topology)
+    backend = make_backend("dfccl", cluster, config=config)
+    return cluster, backend, backend.new_group(ranks)
+
+
+def _register(backend, group, kind, count, key=None, **fields):
+    """Register one logical collective of ``group``; returns it."""
+    return backend.ensure_collective(
+        group, CollectiveSpec(kind, count, **fields), key)
+
+
+def _programs(backend, works, finalize=True):
+    """One host program per work: submit, wait, then (optionally) teardown."""
+    return [HostProgram(work.ops()
+                        + (backend.finalize_ops(work.rank) if finalize else []))
+            for work in works]
 
 
 class TestDaemonGenerationTurnover:
@@ -49,7 +74,7 @@ class TestDaemonGenerationTurnover:
             orders=lambda rank, _: [0, 1] if rank == 0 else [1, 0],
             with_sync=True,
         )
-        context = backend.context(0)
+        context = backend.dfccl.contexts[0]
         stats = backend.stats(0)
         assert stats.voluntary_quits >= 1
         assert stats.launches == stats.voluntary_quits + stats.final_exits
@@ -125,36 +150,32 @@ class TestCommunicatorPoolRecycling:
         assert pool.acquire([cluster.device(0), doomed]) is not comm_a
 
     def test_unregister_recycles_communicator(self):
-        cluster = build_cluster("single-3090")
-        backend = DfcclBackend(cluster)
-        ranks = [0, 1]
-        backend.init_all_ranks(ranks)
-        coll = backend.register_all_reduce(0, count=256, ranks=ranks)
+        _, backend, group = _group([0, 1])
+        dfccl = backend.dfccl
+        coll = _register(backend, group, CollectiveKind.ALL_REDUCE, 256, key=0)
         comm = coll.communicator
-        backend.unregister_collective(0)
-        assert backend.context(0).context_buffer.__contains__(0) is False
-        recycled = backend.register_all_reduce(1, count=256, ranks=ranks)
+        dfccl.unregister_collective(0)
+        assert dfccl.contexts[0].context_buffer.__contains__(0) is False
+        recycled = _register(backend, group, CollectiveKind.ALL_REDUCE, 256, key=1)
         assert recycled.communicator is comm
-        assert backend.pool.stats()["reused"] == 1
+        assert dfccl.pool.stats()["reused"] == 1
 
     def test_unregister_failure_invalidated_communicator_not_reused(self):
-        cluster = build_cluster("single-3090")
-        backend = DfcclBackend(cluster)
-        ranks = [0, 1]
-        backend.init_all_ranks(ranks)
-        coll = backend.register_all_reduce(0, count=256, ranks=ranks)
+        _, backend, group = _group([0, 1])
+        dfccl = backend.dfccl
+        coll = _register(backend, group, CollectiveKind.ALL_REDUCE, 256, key=0)
         coll.communicator.invalidate()
         comm = coll.communicator
-        backend.unregister_collective(0)
-        fresh = backend.register_all_reduce(1, count=256, ranks=ranks)
+        dfccl.unregister_collective(0)
+        fresh = _register(backend, group, CollectiveKind.ALL_REDUCE, 256, key=1)
         assert fresh.communicator is not comm
-        assert backend.pool.stats()["discarded"] == 1
+        assert dfccl.pool.stats()["discarded"] == 1
 
     def test_unregister_unknown_collective_raises(self):
         cluster = build_cluster("single-3090")
-        backend = DfcclBackend(cluster)
+        backend = make_backend("dfccl", cluster)
         with pytest.raises(ConfigurationError):
-            backend.unregister_collective(99)
+            backend.dfccl.unregister_collective(99)
 
 
 class TestRecoveryMechanics:
@@ -197,48 +218,38 @@ class TestRecoveryMechanics:
         # The same straggler driven directly: with no failed device the scan
         # never walks a group, yet it counts scans and suspects exactly as
         # the walking scan did (pinned values).
-        cluster = build_cluster("single-3090")
-        backend = DfcclBackend(cluster, config)
-        ranks = [0, 1, 2, 3]
-        backend.init_all_ranks(ranks)
-        coll = backend.register_all_reduce(0, count=1 << 18, ranks=ranks)
-        cluster.add_hosts([
-            HostProgram(backend.submit(rank, 0).ops() + [backend.destroy_op(rank)])
-            for rank in ranks
-        ])
+        cluster, backend, group = _group([0, 1, 2, 3], config)
+        works = [group.all_reduce(rank, 1 << 18) for rank in group.ranks]
+        cluster.add_hosts(_programs(backend, works))
         install_fault_plan(cluster, plan)
         cluster.run()
-        assert coll.invocation(0).fully_complete()
-        stats = backend.recovery_manager.stats
+        assert works[0].invocation.fully_complete()
+        stats = backend.dfccl.recovery_manager.stats
         assert cluster.engine.device_failures == 0
         assert (stats.scans, stats.suspected_stragglers, stats.recoveries) == (5, 1, 0)
 
     def test_recovery_disabled_config_spawns_no_manager(self):
         cluster = build_cluster("single-3090")
-        backend = DfcclBackend(cluster, DfcclConfig(recovery_enabled=False))
-        assert backend.recovery_manager is None
+        backend = make_backend("dfccl", cluster,
+                               config=DfcclConfig(recovery_enabled=False))
+        assert backend.dfccl.recovery_manager is None
 
     def test_dead_root_broadcast_is_abandoned_not_rerooted(self):
         """A rooted collective whose root died cannot be re-formed."""
-        cluster = build_cluster("single-3090")
-        backend = DfcclBackend(cluster)
-        ranks = [0, 1, 2]
-        backend.init_all_ranks(ranks)
+        cluster, backend, group = _group([0, 1, 2])
         # Payload large enough that the root is still sending chunks when it
         # dies (a smaller broadcast can legitimately finish from the chunks
         # already persisted in the connectors).
-        coll = backend.register_broadcast(0, count=1 << 21, ranks=ranks, root=1)
-        programs = []
-        for rank in ranks:
-            handle = backend.submit(rank, 0)
-            programs.append(HostProgram(handle.ops()))
-        cluster.add_hosts(programs)
+        works = [group.broadcast(rank, 1 << 21, root=1) for rank in group.ranks]
+        coll = works[0].invocation.coll
+        cluster.add_hosts(_programs(backend, works, finalize=False))
         install_fault_plan(cluster,
                            FaultPlan(name="root-crash").add_crash(1, at_us=40.0))
         cluster.run(until_us=20_000.0)
+        manager = backend.dfccl.recovery_manager
         assert coll.abandoned
-        assert backend.recovery_manager.stats.abandoned >= 1
-        assert backend.recovery_manager.stats.recoveries == 0
+        assert manager.stats.abandoned >= 1
+        assert manager.stats.recoveries == 0
         # Survivors cannot have completed a broadcast without its root.
         invocation = coll.invocation(0)
         assert not invocation.is_done(0) and not invocation.is_done(2)
@@ -247,71 +258,57 @@ class TestRecoveryMechanics:
         """Root finished sending, then a non-root peer dies: the rerun set
         excludes the root, whose sends cannot be replayed — the collective is
         abandoned without the recovery path blowing up the simulation."""
-        cluster = build_cluster("single-3090")
-        backend = DfcclBackend(cluster)
-        ranks = [0, 1, 2, 3]
-        backend.init_all_ranks(ranks)
-        coll = backend.register_broadcast(0, count=1 << 20, ranks=ranks, root=0)
+        cluster, backend, group = _group([0, 1, 2, 3])
+        coll = _register(backend, group, CollectiveKind.BROADCAST, 1 << 20, root=0)
         invocation = coll.invocation(0)
         invocation.mark_gpu_complete(0, 10.0)   # root's part is done
         cluster.device(2).fail(20.0)
-        manager = backend.recovery_manager
+        manager = backend.dfccl.recovery_manager
         manager._recover_collective(coll, [2], now=30.0)  # must not raise
         assert coll.abandoned
         assert manager.stats.abandoned == 1
         assert manager.stats.recoveries == 0
         # And the scan skips an abandoned collective instead of retrying.
-        backend.context(1)._inflight[invocation] = 0.0
-        backend.context(1).outstanding += 1
+        backend.dfccl.contexts[1]._inflight[invocation] = 0.0
+        backend.dfccl.contexts[1].outstanding += 1
         manager._scan(now=10_000.0)
         assert manager.stats.abandoned == 1
 
     def test_unregister_after_crash_recovery_succeeds(self):
         """Recovery leaves the collective unregisterable: dead-rank contexts
         are cleaned up unconditionally and the rebuilt communicator recycles."""
-        cluster = build_cluster("single-3090")
-        backend = DfcclBackend(cluster)
-        ranks = [0, 1, 2]
-        backend.init_all_ranks(ranks)
-        coll = backend.register_all_reduce(0, count=1 << 18, ranks=ranks)
-        programs = []
-        for rank in ranks:
-            handle = backend.submit(rank, 0)
-            ops = handle.ops() + [backend.destroy_op(rank)]
-            programs.append(HostProgram(ops))
-        cluster.add_hosts(programs)
+        cluster, backend, group = _group([0, 1, 2])
+        works = [group.all_reduce(rank, 1 << 18) for rank in group.ranks]
+        coll = works[0].invocation.coll
+        cluster.add_hosts(_programs(backend, works))
         install_fault_plan(cluster,
                            FaultPlan(name="crash").add_crash(1, at_us=30.0))
         cluster.run(until_us=60_000.0)
         assert coll.invocation(0).fully_complete()
-        backend.unregister_collective(0)  # must not raise for the dead rank
-        assert backend.pool.stats()["free"] >= 1
+        backend.dfccl.unregister_collective(0)  # must not raise for the dead rank
+        assert backend.dfccl.pool.stats()["free"] >= 1
 
     def test_unregister_with_inflight_invocation_raises(self):
-        cluster = build_cluster("single-3090")
-        backend = DfcclBackend(cluster)
-        ranks = [0, 1]
-        backend.init_all_ranks(ranks)
-        backend.register_all_reduce(0, count=256, ranks=ranks)
-        handles = {rank: backend.submit(rank, 0) for rank in ranks}
+        cluster, backend, group = _group([0, 1])
+        dfccl = backend.dfccl
+        works = {rank: group.all_reduce(rank, 256) for rank in group.ranks}
         # Rank 0 submits up front (its program only waits); rank 1 submits
         # from its program as usual.
-        backend.context(0).submit_invocation(handles[0], 0.0)
+        dfccl.contexts[0].submit_invocation(works[0].handle, 0.0)
         cluster.add_hosts([
-            HostProgram([handles[0].wait_op(), backend.destroy_op(0)]),
-            HostProgram([handles[1].submit_op(), handles[1].wait_op(),
-                         backend.destroy_op(1)]),
+            HostProgram([works[0].wait_op()] + backend.finalize_ops(0)),
+            HostProgram(works[1].ops() + backend.finalize_ops(1)),
         ])
         with pytest.raises(InvalidStateError):
-            backend.unregister_collective(0)
+            dfccl.unregister_collective(0)
         # The rejected unregister must leave the backend fully consistent:
         # the collective is still registered everywhere and the run works.
-        assert backend.collective(0) is not None
-        assert 0 in backend.context(0).registered
-        assert 0 in backend.context(1).registered
+        assert dfccl._collectives[0] is not None
+        assert 0 in dfccl.contexts[0].registered
+        assert 0 in dfccl.contexts[1].registered
         cluster.run()
-        backend.unregister_collective(0)
-        assert backend.pool.stats()["free"] == 1
+        dfccl.unregister_collective(0)
+        assert dfccl.pool.stats()["free"] == 1
 
 
 def _fresh_sequence(coll, group_rank, participants):
@@ -341,7 +338,7 @@ class TestCompiledSequences:
         _, backend, _ = run_simple(num_gpus=4, coll_sizes=(1 << 16,),
                                    iterations=2)
         assert sorted(compiled) == [0, 1, 2, 3]
-        coll = backend.collective(0)
+        coll = backend.dfccl._collectives[0]
         for rank in range(4):
             first = coll.invocation(0).executor_if_cached(rank)
             second = coll.invocation(1).executor_if_cached(rank)
@@ -351,16 +348,14 @@ class TestCompiledSequences:
 
     def _hierarchical_group(self):
         # Group ranks 0..3 on global ranks 0, 1, 8, 9: two nodes, islands of 2.
-        cluster = build_cluster("dual-3090")
-        backend = DfcclBackend(cluster, DfcclConfig(algorithm="hierarchical"))
-        global_ranks = [0, 1, 8, 9]
-        backend.init_all_ranks(global_ranks)
-        coll = backend.register_all_reduce(0, count=1 << 18, ranks=global_ranks)
+        cluster, backend, group = _group(
+            [0, 1, 8, 9], DfcclConfig(algorithm="hierarchical"), "dual-3090")
+        coll = _register(backend, group, CollectiveKind.ALL_REDUCE, 1 << 18)
         return cluster, backend, coll
 
     def test_no_stale_sequence_after_shrink_rerun_and_grow(self):
         cluster, backend, coll = self._hierarchical_group()
-        manager = backend.recovery_manager
+        manager = backend.dfccl.recovery_manager
         assert coll.algorithm == "hierarchical"
         first = coll.invocation(0)
         before = {rank: first.executor_for(rank).primitives for rank in range(4)}
@@ -388,7 +383,7 @@ class TestCompiledSequences:
 
     def test_active_ranks_follow_shrink_and_grow(self):
         cluster, backend, coll = self._hierarchical_group()
-        manager = backend.recovery_manager
+        manager = backend.dfccl.recovery_manager
 
         def recomputed():
             return [rank for rank in range(len(coll.devices))

@@ -170,7 +170,7 @@ def _single_all_reduce_program(count=1 << 16, chunk_bytes=16 << 10, calls=1):
     )
 
 
-class _WrongChunkNcclBackend(NcclCollectiveBackend):
+class _WrongChunkNcclAdapter(NcclCollectiveBackend):
     """Deliberately injected sequence bug: ignores the requested chunk size.
 
     Every rank is internally consistent (the program completes!), but the
@@ -185,7 +185,7 @@ class _WrongChunkNcclBackend(NcclCollectiveBackend):
         super().__init__(cluster, chunk_bytes=wrong, **knobs)
 
 
-register_backend("nccl-wrongchunk", _WrongChunkNcclBackend)
+register_backend("nccl-wrongchunk", _WrongChunkNcclAdapter)
 
 
 class TestNegative:
