@@ -4,7 +4,7 @@ Replays a fixed-seed Zipf job stream per placement policy and backend,
 checks the headline behaviour — co-located dedicated-kernel jobs wedge in a
 cross-job SM-contention deadlock while DFCCL's shared daemon kernels drain
 every job — and reports the per-policy JCT / goodput / SLO rows the CI
-multijob-smoke job archives as ``BENCH_multijob.json``.
+scheduler-smoke job archives as ``BENCH_multijob.json``.
 """
 
 import pytest

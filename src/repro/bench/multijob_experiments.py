@@ -19,12 +19,12 @@ runs into the deadlock-ratio distributions the headline reports.
 
 from __future__ import annotations
 
+from repro.controlplane import install_control_plane
 from repro.faults.injector import install_fault_plan
 from repro.faults.plan import FaultPlan
 from repro.gpusim import SmInterferenceModel, build_cluster
 from repro.multijob.arrivals import generate_jobs
 from repro.multijob.runtime import make_job_runner
-from repro.multijob.scheduler import install_scheduler
 
 #: Virtual-time deadline: a shared cluster not drained by then is stuck.
 MULTIJOB_DEADLINE_US = 8_000_000.0
@@ -86,15 +86,16 @@ def run_multijob(backend="dfccl", policy="packed", topology="dual-3090",
     runner = make_job_runner(backend, cluster, **runner_kwargs)
     if specs is None:
         specs = default_job_stream(seed, num_jobs=num_jobs)
-    scheduler = install_scheduler(cluster, runner, specs, policy=policy,
-                                  tenants_per_gpu=tenants_per_gpu)
+    service = install_control_plane(cluster, runner, specs, policy=policy,
+                                    tenants_per_gpu=tenants_per_gpu,
+                                    preemption=False)
     if fault_plan is not None:
         install_fault_plan(cluster, fault_plan)
 
     total = cluster.run(until_us=deadline_us)
-    scheduler.finalize(total)
+    service.finalize(total)
     engine_deadlock = cluster.engine.deadlock_report is not None
-    summary = scheduler.summary(total)
+    summary = service.summary(total)
     # Attribute stuck jobs to deadlock only when the engine recorded one;
     # otherwise they are deadline timeouts (or capacity starvation, counted
     # under never_placed) and must not inflate the deadlock ratio.
@@ -114,8 +115,8 @@ def run_multijob(backend="dfccl", policy="packed", topology="dual-3090",
         "seed": seed,
         "time_us": total,
         "summary": summary,
-        "jobs": scheduler.job_rows(),
-        "events": list(scheduler.events),
+        "jobs": service.job_rows(),
+        "events": list(service.events),
         "engine_deadlock": engine_deadlock,
         "contention": contention,
         "obs": cluster.engine.obs,

@@ -1,8 +1,10 @@
-"""Control plane: scheduler-as-a-service over the multi-tenant cluster.
+"""Control plane: the one multi-tenant scheduler, run as a service.
 
-Builds on :mod:`repro.multijob` — live job submission, per-tenant admission
-control, priority preemption with checkpoint/restore, elastic cluster growth
-and rank rejoin, and job migration.  See ``docs/controlplane.md``.
+Leases the shared cluster to :mod:`repro.multijob` jobs with backfilling
+placement, and adds live job submission, per-tenant admission control,
+priority preemption with checkpoint/restore, elastic cluster growth and rank
+rejoin, and job migration.  With ``preemption=False`` it is the plain
+non-preemptive scheduler.  See ``docs/controlplane.md``.
 """
 
 from repro.controlplane.checkpoint import JobCheckpoint, collective_fingerprints

@@ -1,7 +1,13 @@
-"""The control plane: a continuously running scheduler service.
+"""The control plane: the multi-tenant cluster scheduler, run as a service.
 
-:class:`ControlPlane` extends the multi-tenant :class:`ClusterScheduler`
-from a batch admitter into a *service*:
+:class:`ControlPlane` is an engine actor that admits :class:`JobSpec`
+streams, leases device sets through a placement policy, launches each placed
+job's rank processes through a job runner, and frees the lease when the job's
+last (surviving) rank finishes — immediately retrying queued jobs on the
+freed capacity.  Queued jobs are served in (effective priority desc, arrival,
+job id) order with *backfill*: a job that does not fit is skipped, and a
+smaller later job may start first.  On top of that batch admitter it is a
+*service*:
 
 * **live submission** — jobs may be submitted while the engine runs (from a
   scheduled action or a host hook); the service actor is woken through
@@ -15,18 +21,24 @@ from a batch admitter into a *service*:
   collective parts are aborted out of the daemon queues), requeued, and
   later resumed running only its remaining iterations.  Preemption requires
   a backend that can quiesce an evicted job — the dedicated-kernel baseline
-  cannot abort its in-flight kernels, so over it the control plane degrades
-  to non-preemptive scheduling (exactly the property the paper's comparison
-  turns on);
+  cannot abort its in-flight kernels, so over it the control plane is a
+  non-preemptive scheduler whose leases are never revoked (exactly the
+  property the paper's comparison turns on);
 * **starvation aging** — a queued job's effective priority rises with its
   waiting time, so high-priority churn cannot starve low-priority tenants;
 * **elastic growth and rejoin** — :meth:`grow_cluster` adds a node to the
-  live cluster mid-run and immediately places queued work on it; a running
-  job that loses a leased rank is checkpoint-evicted and requeued at full
-  size (the *rejoin* path — the scheduler-level inverse of recovery's group
-  shrink);
+  live cluster mid-run and immediately places queued work on it; with
+  preemption on, a running job that loses a leased rank is checkpoint-evicted
+  and requeued at full size (the *rejoin* path — the scheduler-level inverse
+  of recovery's group shrink); without it the job finishes degraded;
 * **migration** — :meth:`migrate` checkpoints a running job and re-places it,
   preferring devices outside its old lease.
+
+The service is a *worker* actor (not a daemon): it keeps the simulation
+alive across arrival gaps, and when every running job's rank processes are
+blocked — the cross-job SM-contention deadlock the dedicated-kernel baseline
+is susceptible to — the service itself is merely blocked on its wake key,
+so the engine's deadlock detector fires exactly as it should.
 
 Determinism: everything external — submissions, migrations, growth — enters
 through the :meth:`schedule` action queue, ordered by ``(time, sequence)``,
@@ -39,21 +51,61 @@ from dataclasses import replace
 
 from repro.common.errors import ConfigurationError, InvalidStateError
 from repro.controlplane.checkpoint import JobCheckpoint, collective_fingerprints
-from repro.gpusim.engine import StepResult
+from repro.gpusim.engine import Actor, StepResult
 from repro.multijob.jobs import JobRecord, JobState
-from repro.multijob.placement import DeviceLease
-from repro.multijob.scheduler import ClusterScheduler
+from repro.multijob.placement import DeviceLease, make_placement_policy
 
 
-class ControlPlane(ClusterScheduler):
-    """Scheduler-as-a-service: preemption, checkpoint/restore, elasticity."""
+class _FailureWatch(Actor):
+    """Service actor delivering device failures to the control plane promptly.
+
+    The control plane is either sleeping toward the next arrival or blocked
+    on its wake key; a crash that eliminates a running job's last outstanding
+    rank would otherwise go unreaped until the next wake, inflating the job's
+    JCT and delaying lease reuse.  The watch blocks on every live device's
+    ``failed_key``, reaps synchronously when one fires, and signals the
+    service's wake key.
+    """
+
+    daemon = True
+
+    def __init__(self, service, seen=()):
+        super().__init__(f"{service.name}-failure-watch")
+        self.service = service
+        self._seen = set(seen)
+
+    def step(self):
+        cluster = self.service.cluster
+        newly_failed = [device for device in cluster.devices
+                        if device.failed and device.name not in self._seen]
+        if newly_failed:
+            for device in newly_failed:
+                self._seen.add(device.name)
+            self.service._reap_failed_ranks(self.now)
+            if self.engine is not None:
+                self.engine.signal(self.service.wake_key, self.now)
+        keys = [device.failed_key for device in cluster.devices
+                if not device.failed]
+        if not keys:
+            return StepResult.done("every device has failed")
+        return StepResult.blocked(keys, "watching for device failures")
+
+
+class ControlPlane(Actor):
+    """Leases GPUs of one shared cluster to a live stream of jobs."""
 
     def __init__(self, cluster, runner, policy="packed", tenants_per_gpu=2,
-                 name="control-plane", preemption=True,
-                 max_preemptions_per_job=3, starvation_boost_us=None,
-                 quotas=None, rejoin=True):
-        super().__init__(cluster, runner, policy=policy,
-                         tenants_per_gpu=tenants_per_gpu, name=name)
+                 preemption=True, max_preemptions_per_job=3,
+                 starvation_boost_us=None, quotas=None):
+        super().__init__("control-plane")
+        if tenants_per_gpu < 1:
+            raise ConfigurationError(
+                f"tenants_per_gpu must be at least 1, got {tenants_per_gpu}"
+            )
+        self.cluster = cluster
+        self.runner = runner
+        self.policy = make_placement_policy(policy)
+        self.tenants_per_gpu = tenants_per_gpu
         #: Preemption needs a backend able to quiesce an evicted job.
         self.preemption = preemption and getattr(
             runner, "supports_preemption", False)
@@ -61,13 +113,43 @@ class ControlPlane(ClusterScheduler):
         self.starvation_boost_us = starvation_boost_us
         #: Tenant -> max concurrently leased GPUs (absent tenants: unlimited).
         self.quotas = dict(quotas or {})
-        self.rejoin_enabled = rejoin
+        self.jobs = {}
+        self.load = {rank: 0 for rank in range(cluster.world_size)}
+        self._pending_arrivals = []      # JobSpecs sorted by arrival time
         self._actions = []       # (time_us, seq, callable) sorted
         self._action_seq = 0
+        self._started = False
         self._in_step = False
+        self._watch = None
+        # Event log: (time_us, event, job_id) for trace inspection.
+        self.events = []
+        #: Open job-lifecycle spans (placement -> finish), by job id.
+        self._job_spans = {}
         self.migrations = 0
         self.rejoins = 0
         self.grow_events = 0
+
+    def on_registered(self, engine):
+        super().on_registered(engine)
+        self._watch = engine.add_actor(_FailureWatch(self))
+        if engine.obs.enabled:
+            registry = engine.obs.metrics
+            registry.gauge_fn("jobs_admitted", lambda: len(self.jobs))
+            registry.gauge_fn("jobs_running",
+                              lambda: sum(1 for r in self.jobs.values()
+                                          if r.state is JobState.RUNNING))
+            registry.gauge_fn("jobs_completed",
+                              lambda: sum(1 for r in self.jobs.values()
+                                          if r.terminal))
+
+    def _obs(self):
+        obs = self.cluster.engine.obs
+        return obs if obs.enabled else None
+
+    @property
+    def wake_key(self):
+        """Signalled on job completion so a blocked service re-evaluates."""
+        return ("multijob-wake", self.name)
 
     # -- the action queue --------------------------------------------------------
 
@@ -93,7 +175,7 @@ class ControlPlane(ClusterScheduler):
             ran += 1
         return ran
 
-    # -- live admission ----------------------------------------------------------
+    # -- admission ---------------------------------------------------------------
 
     def submit(self, spec):
         """Admit one job spec — before the run *or live, mid-simulation*.
@@ -102,8 +184,6 @@ class ControlPlane(ClusterScheduler):
         service cannot admit into the past) and the service actor is woken
         out of whatever sleep or block it parked in.
         """
-        if not self._started:
-            return super().submit(spec)
         spec.validate()
         if spec.job_id in self.jobs or any(
             pending.job_id == spec.job_id for pending in self._pending_arrivals
@@ -114,15 +194,19 @@ class ControlPlane(ClusterScheduler):
                 f"job {spec.job_id} wants {spec.world_size} GPUs but the "
                 f"cluster has {self.cluster.world_size}"
             )
-        now = self.now
-        if spec.arrival_time_us < now:
-            spec = replace(spec, arrival_time_us=now)
+        if self._started and spec.arrival_time_us < self.now:
+            spec = replace(spec, arrival_time_us=self.now)
         self._pending_arrivals.append(spec)
         self._pending_arrivals.sort(key=lambda pending: (pending.arrival_time_us,
                                                          pending.job_id))
-        if self.engine is not None and not self._in_step:
+        if self._started and self.engine is not None and not self._in_step:
             self.engine.wake_actor(self)
         return spec
+
+    def submit_all(self, specs):
+        for spec in specs:
+            self.submit(spec)
+        return self
 
     def _admit_due(self, now):
         """Admit due arrivals, rejecting jobs no quota could ever satisfy."""
@@ -158,13 +242,22 @@ class ControlPlane(ClusterScheduler):
             priority += int(waited / self.starvation_boost_us)
         return priority
 
-    def _queued_records(self, now=None):
-        def order(record):
-            priority = (record.spec.priority if now is None
-                        else self._effective_priority(record, now))
-            return (-priority, record.spec.arrival_time_us, record.job_id)
-        return sorted((record for record in self.jobs.values()
-                       if record.state is JobState.QUEUED), key=order)
+    def _queued_records(self, now):
+        return sorted(
+            (record for record in self.jobs.values()
+             if record.state is JobState.QUEUED),
+            key=lambda record: (-self._effective_priority(record, now),
+                                record.spec.arrival_time_us,
+                                record.job_id),
+        )
+
+    def _effective_load(self):
+        """Load map with failed devices reported as full (never placeable)."""
+        return {
+            rank: (self.tenants_per_gpu if self.cluster.device(rank).failed
+                   else self.load[rank])
+            for rank in self.load
+        }
 
     def _tenant_leased(self, tenant):
         return sum(len(record.lease.ranks) for record in self.jobs.values()
@@ -250,12 +343,86 @@ class ControlPlane(ClusterScheduler):
         return record.completed_iterations + run.completed_iterations() \
             >= record.spec.iterations
 
+    def _grant(self, record, ranks, now):
+        """Lease ``ranks`` to the job — a first placement or a resume."""
+        resumed = record.epoch > 0
+        record.lease = DeviceLease(record.job_id, tuple(ranks), now)
+        if record.start_time_us is None:
+            record.start_time_us = now
+        record.state = JobState.RUNNING
+        for rank in ranks:
+            self.load[rank] += 1
+        self.events.append((now, "resume" if resumed else "place",
+                            record.job_id))
+        obs = self._obs()
+        if obs is not None:
+            if resumed:
+                obs.metrics.counter("jobs_resumed").inc()
+            else:
+                # Queueing delay is arrival-to-*first*-placement; a resume
+                # is service interruption, not queueing.
+                obs.metrics.histogram("jobs_queueing_delay_us").observe(
+                    max(0.0, now - record.spec.arrival_time_us))
+            self._job_spans[record.job_id] = obs.tracer.begin(
+                f"job:{record.job_id}", "job", now,
+                track="lifecycle", job=record.job_id,
+                attrs={"ranks": list(ranks),
+                       "priority": record.spec.priority,
+                       "epoch": record.epoch})
+
+        def on_rank_complete(rank, time_us, job_id=record.job_id,
+                             epoch=record.epoch):
+            current = self.jobs[job_id]
+            if current.epoch != epoch or current.state is not JobState.RUNNING:
+                return  # stale hook from an evicted epoch's rank process
+            self.on_rank_done(job_id, rank, time_us)
+
+        self.runner.launch(record, now, on_rank_complete)
+
+    # -- completion ----------------------------------------------------------------
+
+    def on_rank_done(self, job_id, rank, time_us):
+        """Hook run by each rank process's final host op."""
+        record = self.jobs[job_id]
+        record.ranks_done[rank] = time_us
+        self._maybe_finish(record, time_us)
+
+    def _outstanding_ranks(self, record):
+        """Leased ranks still owed a completion, ignoring failed devices."""
+        return [rank for rank in record.lease.ranks
+                if rank not in record.ranks_done
+                and not self.cluster.device(rank).failed]
+
     def _maybe_finish(self, record, time_us):
-        super()._maybe_finish(record, time_us)
-        if record.state is JobState.COMPLETED:
+        if record.state is not JobState.RUNNING:
+            return
+        if self._outstanding_ranks(record):
+            return
+        lost = [rank for rank in record.lease.ranks
+                if rank not in record.ranks_done]
+        if lost:
+            record.state = JobState.DEGRADED
+        else:
+            record.state = JobState.COMPLETED
             # Normal completion confirms every spec iteration ran — keep the
             # cumulative counter truthful for resumed jobs too.
             record.completed_iterations = record.spec.iterations
+        record.finish_time_us = time_us
+        for rank in record.lease.ranks:
+            self.load[rank] -= 1
+        # Recycle the job's backend state (pooled communicators etc.).
+        self.runner.release(record)
+        self.events.append((time_us, "finish", record.job_id))
+        obs = self._obs()
+        if obs is not None:
+            span = self._job_spans.pop(record.job_id, None)
+            if span is not None:
+                obs.tracer.end(span, time_us, state=record.state.value)
+        # Freed capacity: place queued work immediately, then wake the
+        # service actor so it can notice overall completion.
+        self._try_place_queued(time_us)
+        if self.engine is not None:
+            self.engine.signal(self.wake_key, time_us)
 
     # -- checkpoint / restore ------------------------------------------------------
 
@@ -305,42 +472,6 @@ class ControlPlane(ClusterScheduler):
             record.state = JobState.QUEUED
         return record.checkpoint
 
-    def _grant(self, record, ranks, now):
-        """Lease ``ranks`` to the job — a first placement or a resume."""
-        resumed = record.epoch > 0
-        record.lease = DeviceLease(record.job_id, tuple(ranks), now)
-        if record.start_time_us is None:
-            record.start_time_us = now
-        record.state = JobState.RUNNING
-        for rank in ranks:
-            self.load[rank] += 1
-        self.events.append((now, "resume" if resumed else "place",
-                            record.job_id))
-        obs = self._obs()
-        if obs is not None:
-            if resumed:
-                obs.metrics.counter("jobs_resumed").inc()
-            else:
-                # Queueing delay is arrival-to-*first*-placement; a resume
-                # is service interruption, not queueing.
-                obs.metrics.histogram("jobs_queueing_delay_us").observe(
-                    max(0.0, now - record.spec.arrival_time_us))
-            self._job_spans[record.job_id] = obs.tracer.begin(
-                f"job:{record.job_id}", "job", now,
-                track="lifecycle", job=record.job_id,
-                attrs={"ranks": list(ranks),
-                       "priority": record.spec.priority,
-                       "epoch": record.epoch})
-
-        def on_rank_complete(rank, time_us, job_id=record.job_id,
-                             epoch=record.epoch):
-            current = self.jobs[job_id]
-            if current.epoch != epoch or current.state is not JobState.RUNNING:
-                return  # stale hook from an evicted epoch's rank process
-            self.on_rank_done(job_id, rank, time_us)
-
-        self.runner.launch(record, now, on_rank_complete)
-
     # -- migration -----------------------------------------------------------------
 
     def migrate(self, job_id, time_us=None):
@@ -385,6 +516,12 @@ class ControlPlane(ClusterScheduler):
         added = self.cluster.add_node(node, time_us=now)
         for device in added:
             self.load[self.cluster.rank_of(device)] = 0
+        # The failure watch blocks on the devices it saw when it last
+        # stepped: re-arm it over the new ones (or restart it, when every
+        # old device had failed and it finished).
+        if self._watch is not None and not self.engine.wake_actor(self._watch, now):
+            self._watch = self.engine.add_actor(
+                _FailureWatch(self, seen=self._watch._seen))
         self.grow_events += 1
         self.events.append((now, "grow", self.cluster.spec.nodes[-1].name))
         obs = self._obs()
@@ -397,12 +534,18 @@ class ControlPlane(ClusterScheduler):
         return added
 
     def _reap_failed_ranks(self, now):
-        """Rejoin path first: a running job that lost a leased rank is
-        checkpoint-evicted and requeued at *full* size, so its next placement
-        re-forms the whole group on healthy devices (the scheduler-level
-        inverse of recovery's shrink).  Jobs past their preemption budget
-        fall through to the base reaper and finish degraded."""
-        if self.rejoin_enabled and self.preemption:
+        """Re-check running jobs whose leased devices died (fault churn).
+
+        With preemption on, the rejoin path runs first: a running job that
+        lost a leased rank is checkpoint-evicted and requeued at *full* size,
+        so its next placement re-forms the whole group on healthy devices
+        (the scheduler-level inverse of recovery's shrink).  The remaining
+        jobs — every one without preemption, or past its preemption budget —
+        finish degraded once no surviving rank is outstanding.  A crash can
+        land *after* every surviving rank already finished, in which case no
+        further completion hook will ever fire for the job.
+        """
+        if self.preemption:
             for record in list(self.jobs.values()):
                 if record.state is not JobState.RUNNING:
                     continue
@@ -415,7 +558,9 @@ class ControlPlane(ClusterScheduler):
                     obs = self._obs()
                     if obs is not None:
                         obs.metrics.counter("jobs_rejoined").inc()
-        super()._reap_failed_ranks(now)
+        for record in self.jobs.values():
+            if record.state is JobState.RUNNING:
+                self._maybe_finish(record, now)
 
     # -- engine protocol -----------------------------------------------------------
 
@@ -444,25 +589,85 @@ class ControlPlane(ClusterScheduler):
         if wake_times:
             return StepResult.sleep(min(wake_times),
                                     "awaiting next arrival or action")
+        # Nothing due: park until a completion (or the failure watch)
+        # signals the wake key.  If every running job is wedged this block
+        # participates in the engine's deadlock detection.
         return StepResult.blocked([self.wake_key], "jobs running; queue parked")
+
+    # -- collection ----------------------------------------------------------------
+
+    def finalize(self, total_time_us):
+        """Mark never-finished jobs, collect per-job results, return records.
+
+        Call after ``engine.run()`` returns (completion, deadline or recorded
+        deadlock).  Arrivals the run never reached (a deadline cut before
+        their arrival time) are admitted as unfinished/never-placed records,
+        so summary denominators always cover the whole submitted stream.
+        """
+        while self._pending_arrivals:
+            spec = self._pending_arrivals.pop(0)
+            self.jobs[spec.job_id] = JobRecord(spec=spec)
+        for record in self.jobs.values():
+            if not record.terminal:
+                record.state = JobState.UNFINISHED
+            if record.lease is not None:
+                self.runner.collect(record, total_time_us)
+        return sorted(self.jobs.values(), key=lambda record: record.job_id)
 
     # -- reporting -----------------------------------------------------------------
 
-    def summary(self, total_time_us=None):
-        """Base scheduler summary plus the control-plane counters.
+    def job_rows(self):
+        return [record.row() for record in
+                sorted(self.jobs.values(), key=lambda record: record.job_id)]
 
+    def summary(self, total_time_us=None):
+        """Aggregate multi-tenant metrics over every admitted job.
+
+        Unfinished jobs split into never-placed (queued to the end: the
+        cluster lacked capacity) and placed-but-stuck (wedged, or cut off by
+        the caller's deadline).  Whether "stuck" means *deadlocked* is the
+        engine's call — the bench layer gates on the deadlock report.
+        Rejected jobs are an admission-policy outcome and count as neither.
         ``starved`` counts jobs that ended unfinished *without ever being
         placed* — the service's headline no-starvation claim is
-        ``starved == 0`` over a saturating stream.  Rejected jobs are an
-        admission-policy outcome, not starvation, and are excluded from the
-        never-placed count.
+        ``starved == 0`` over a saturating stream.
         """
-        data = super().summary(total_time_us)
         records = list(self.jobs.values())
+        finished = [record for record in records if record.finished]
+        unfinished = [record for record in records if not record.finished]
+        placed_unfinished = [record for record in unfinished
+                             if record.lease is not None]
         rejected = sum(1 for record in records
                        if record.state is JobState.REJECTED)
-        data["never_placed"] = max(0, data["never_placed"] - rejected)
-        data.update({
+        jcts = [record.jct_us for record in finished if record.jct_us is not None]
+        queueing = [record.queueing_delay_us for record in records
+                    if record.queueing_delay_us is not None]
+        slo_evaluated = [record for record in records
+                         if record.slo_attained is not None]
+        completed_samples = sum(record.samples_processed for record in finished)
+        makespan = total_time_us
+        if makespan is None:
+            makespan = max((record.finish_time_us for record in finished),
+                           default=0.0)
+        return {
+            "jobs": len(records),
+            "completed": len(finished),
+            "degraded": sum(1 for record in finished
+                            if record.state is JobState.DEGRADED),
+            "unfinished": len(unfinished),
+            "never_placed": len(unfinished) - len(placed_unfinished) - rejected,
+            "stuck_ratio": (len(placed_unfinished) / len(records)) if records else 0.0,
+            "mean_jct_us": (sum(jcts) / len(jcts)) if jcts else None,
+            "max_jct_us": max(jcts) if jcts else None,
+            "mean_queueing_delay_us": (sum(queueing) / len(queueing))
+                                      if queueing else None,
+            "aggregate_goodput_samples_per_s": (
+                completed_samples / (makespan / 1e6) if makespan else 0.0
+            ),
+            "slo_attainment": (
+                sum(1 for record in slo_evaluated if record.slo_attained)
+                / len(slo_evaluated) if slo_evaluated else None
+            ),
             "rejected": rejected,
             "preemptions": sum(record.preemptions for record in records),
             "preempted_jobs": sum(1 for record in records
@@ -476,8 +681,7 @@ class ControlPlane(ClusterScheduler):
             "starved": sum(1 for record in records
                            if record.state is JobState.UNFINISHED
                            and record.start_time_us is None),
-        })
-        return data
+        }
 
 
 def install_control_plane(cluster, runner, specs=(), policy="packed",

@@ -15,7 +15,6 @@ from repro.gpusim.device import GpuDevice
 from repro.gpusim.engine import Engine
 from repro.gpusim.host import HostThread
 from repro.gpusim.interconnect import Interconnect, TopologySpec
-from repro.gpusim.memory import GpuMemoryModel
 
 
 @dataclass(frozen=True)
@@ -174,7 +173,6 @@ class Cluster:
                     if self._max_resident_blocks is not None
                     else node.max_resident_blocks
                 ),
-                memory=GpuMemoryModel(global_bytes=node.gpu_memory_bytes),
                 interference=self._interference,
             )
             if time_us is not None:

@@ -15,7 +15,6 @@ from dataclasses import dataclass
 
 from repro.common.errors import ConfigurationError, InvalidStateError
 from repro.gpusim.engine import Actor, StepResult
-from repro.gpusim.memory import GpuMemoryModel
 from repro.gpusim.stream import Stream, SyncBarrier
 
 
@@ -145,7 +144,6 @@ class GpuDevice(Actor):
         self,
         device_id,
         max_resident_blocks=32,
-        memory=None,
         launch_overhead_us=None,
         interference=None,
     ):
@@ -153,7 +151,6 @@ class GpuDevice(Actor):
         self.device_id = device_id
         self.max_resident_blocks = max_resident_blocks
         self.free_blocks = max_resident_blocks
-        self.memory = memory or GpuMemoryModel()
         self.launch_overhead_us = (
             self.LAUNCH_OVERHEAD_US if launch_overhead_us is None else launch_overhead_us
         )

@@ -109,15 +109,3 @@ class PinnedHostAllocator:
 
     def free(self, name):
         self.accountant.free(name)
-
-
-@dataclass
-class GpuMemoryModel:
-    """The memory spaces of one simulated GPU."""
-
-    global_bytes: int = 12 << 30
-    global_mem: MemoryAccountant = None
-
-    def __post_init__(self):
-        if self.global_mem is None:
-            self.global_mem = MemoryAccountant("gpu-global", self.global_bytes)

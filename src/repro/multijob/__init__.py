@@ -13,13 +13,14 @@ boundaries.  This package turns the simulated cluster into a shared one:
   Zipf-distributed tenant demand;
 * :mod:`repro.multijob.placement` — ``packed`` / ``spread`` /
   ``nvlink-affine`` device-lease policies;
-* :mod:`repro.multijob.scheduler` — the :class:`ClusterScheduler` actor:
-  admission, backfilling placement, lease recycling, failure reaping;
 * :mod:`repro.multijob.runtime` — per-job backend contexts: one shared
   DFCCL daemon per GPU across all tenants, or dedicated NCCL kernels per
   job that contend for SM block slots.
 
-The matching experiments live in :mod:`repro.bench.multijob_experiments`.
+The one scheduler that leases devices to these jobs is
+:class:`repro.controlplane.ControlPlane`; with ``preemption=False`` it is the
+plain backfilling admitter the multijob experiments use.  The matching
+experiments live in :mod:`repro.bench.multijob_experiments`.
 """
 
 from repro.multijob.arrivals import estimate_standalone_us, generate_jobs, zipf_weights
@@ -34,13 +35,11 @@ from repro.multijob.placement import (
     make_placement_policy,
 )
 from repro.multijob.runtime import ClusterJobRunner, RankMappedPlan, make_job_runner
-from repro.multijob.scheduler import ClusterScheduler, install_scheduler
 
 __all__ = [
     "MODEL_FACTORIES",
     "PLACEMENT_POLICIES",
     "ClusterJobRunner",
-    "ClusterScheduler",
     "DeviceLease",
     "JobRecord",
     "JobSpec",
@@ -52,7 +51,6 @@ __all__ = [
     "SpreadPolicy",
     "estimate_standalone_us",
     "generate_jobs",
-    "install_scheduler",
     "make_job_runner",
     "make_placement_policy",
     "zipf_weights",

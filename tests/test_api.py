@@ -356,10 +356,11 @@ class TestRemovedShims:
         ("repro.gpusim.host", "HostThread", "deliver_signal"),
         ("repro.gpusim.host", "HostThread", "consume_signal"),
         ("repro.gpusim.memory", "MemoryAccountant", "usage_report"),
-        ("repro.gpusim.memory", "GpuMemoryModel", "shared_for_block"),
+        ("repro.gpusim.memory", None, "GpuMemoryModel"),
         ("repro.multijob.jobs", "JobRecord", "service_time_us"),
         ("repro.workloads.parallelism", "ParallelPlan", "all_schedules"),
-        ("repro.controlplane.service", "ControlPlane", "on_registered"),
+        ("repro.multijob", None, "ClusterScheduler"),
+        ("repro.multijob", None, "install_scheduler"),
     ])
     def test_dead_definitions_are_gone(self, module, owner, name):
         import importlib
@@ -370,6 +371,30 @@ class TestRemovedShims:
             assert name not in scope, f"{owner}.{name}"
         else:
             assert not hasattr(scope, name), name
+
+    def test_cluster_scheduler_module_is_gone(self):
+        import importlib
+
+        with pytest.raises(ModuleNotFoundError):
+            importlib.import_module("repro.multijob.scheduler")
+
+    def test_job_gauges_are_registered_once(self):
+        from repro.controlplane import install_control_plane
+        from repro.multijob import make_job_runner
+
+        cluster = build_cluster("single-3090", deadlock_mode="record")
+        registry = cluster.obs.metrics
+        calls = []
+        original = registry.gauge_fn
+
+        def counting_gauge_fn(name, fn, labels=None):
+            calls.append(name)
+            return original(name, fn, labels)
+
+        registry.gauge_fn = counting_gauge_fn
+        install_control_plane(cluster, make_job_runner("dfccl", cluster, seed=1))
+        jobs_gauges = sorted(name for name in calls if name.startswith("jobs_"))
+        assert jobs_gauges == ["jobs_admitted", "jobs_completed", "jobs_running"]
 
     def test_runner_legacy_accessors_are_gone(self):
         from repro.multijob import make_job_runner

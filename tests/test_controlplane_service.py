@@ -12,6 +12,8 @@ from repro.controlplane import (
     install_control_plane,
 )
 from repro.core.queues import Sqe
+from repro.faults.injector import install_fault_plan
+from repro.faults.plan import FaultPlan
 from repro.gpusim import HostProgram, build_cluster
 from repro.gpusim.host import CpuCompute
 from repro.multijob import JobSpec, JobState, make_job_runner
@@ -333,17 +335,41 @@ class TestElasticGrowAndRejoin:
                   if job_id == "r"]
         assert "preempt:rejoin" in events
 
-    def test_rejoin_disabled_degrades_instead(self):
+    def test_crash_on_grown_device_rejoins_at_crash_time(self):
+        # "b" lands on the grown node; a crash there must reach the failure
+        # watch at once, not when "a" finishes and wakes the service.
         cluster = _cluster()
-        service = _service(cluster, [_spec("r", dp=4, iterations=3)],
-                           tenants_per_gpu=1, rejoin=False)
-        service.schedule(10_000.0,
-                         lambda s, now: s.cluster.fail_rank(1, now))
+        service = _service(cluster,
+                           [_spec("a", iterations=3), _spec("b", iterations=2)],
+                           tenants_per_gpu=1)
+        service.schedule(1_000.0, lambda s, now: s.grow_cluster(time_us=now))
+        install_fault_plan(cluster, FaultPlan(name="grown-crash")
+                           .add_crash(9, at_us=20_000.0))
         total = cluster.run(until_us=DEADLINE_US)
         records = {record.job_id: record
                    for record in service.finalize(total)}
-        assert records["r"].state is JobState.DEGRADED
-        assert service.rejoins == 0
+        assert (20_000.0, "preempt:rejoin", "b") in service.events
+        assert service.rejoins == 1
+        assert records["b"].state is JobState.COMPLETED
+        assert 9 not in records["b"].lease.ranks
+
+    def test_grow_restarts_a_watch_that_saw_every_device_fail(self):
+        cluster = _cluster()
+        service = _service(cluster, [_spec("r", dp=4, iterations=3)],
+                           tenants_per_gpu=1)
+        plan = FaultPlan(name="total-loss")
+        for rank in range(8):
+            plan.add_crash(rank, at_us=10_000.0)
+        plan.add_crash(9, at_us=30_000.0)
+        install_fault_plan(cluster, plan)
+        service.schedule(20_000.0, lambda s, now: s.grow_cluster(time_us=now))
+        total = cluster.run(until_us=DEADLINE_US)
+        job = service.finalize(total)[0]
+        rejoins = [time_us for time_us, event, _ in service.events
+                   if event == "preempt:rejoin"]
+        assert rejoins == [10_000.0, 30_000.0]
+        assert job.state is JobState.COMPLETED
+        assert set(job.lease.ranks) == {8, 10, 11, 12}
 
 
 class TestClusterElasticity:

@@ -3,6 +3,7 @@
 import pytest
 
 from repro.common.errors import ConfigurationError
+from repro.controlplane import install_control_plane
 from repro.core.communicator_pool import CommunicatorPool
 from repro.gpusim import SmInterferenceModel, build_cluster
 from repro.multijob import (
@@ -10,7 +11,6 @@ from repro.multijob import (
     JobState,
     RankMappedPlan,
     generate_jobs,
-    install_scheduler,
     make_job_runner,
 )
 from repro.multijob.arrivals import estimate_standalone_us, zipf_weights
@@ -198,7 +198,8 @@ class TestSchedulerLifecycle:
     def test_rejects_oversized_and_duplicate_jobs(self):
         cluster = _shared_cluster()
         runner = make_job_runner("dfccl", cluster, seed=1)
-        scheduler = install_scheduler(cluster, runner, [], policy="packed")
+        scheduler = install_control_plane(cluster, runner, [], policy="packed",
+                                          preemption=False)
         with pytest.raises(ConfigurationError):
             scheduler.submit(JobSpec(job_id="big", dp=32))
         scheduler.submit(_small_spec("a"))
@@ -216,8 +217,9 @@ class TestSchedulerLifecycle:
             JobSpec(job_id="second", dp=8, iterations=2, grad_buckets=2,
                     arrival_time_us=10.0),
         ]
-        scheduler = install_scheduler(cluster, runner, specs,
-                                      policy="packed", tenants_per_gpu=1)
+        scheduler = install_control_plane(cluster, runner, specs,
+                                          policy="packed", tenants_per_gpu=1,
+                                          preemption=False)
         total = cluster.run(until_us=8_000_000)
         records = {record.job_id: record
                    for record in scheduler.finalize(total)}
@@ -238,8 +240,9 @@ class TestSchedulerLifecycle:
             JobSpec(job_id="high", dp=8, iterations=2, grad_buckets=2,
                     priority=5, arrival_time_us=10.0),
         ]
-        scheduler = install_scheduler(cluster, runner, specs,
-                                      policy="packed", tenants_per_gpu=1)
+        scheduler = install_control_plane(cluster, runner, specs,
+                                          policy="packed", tenants_per_gpu=1,
+                                          preemption=False)
         total = cluster.run(until_us=20_000_000)
         records = {record.job_id: record
                    for record in scheduler.finalize(total)}
@@ -250,8 +253,9 @@ class TestSchedulerLifecycle:
     def test_metrics_rows_have_expected_fields(self):
         cluster = _shared_cluster()
         runner = make_job_runner("dfccl", cluster, seed=5)
-        scheduler = install_scheduler(cluster, runner,
-                                      [_small_spec("a"), _small_spec("b", 200.0)])
+        scheduler = install_control_plane(
+            cluster, runner, [_small_spec("a"), _small_spec("b", 200.0)],
+            preemption=False)
         total = cluster.run(until_us=8_000_000)
         scheduler.finalize(total)
         for row in scheduler.job_rows():
@@ -271,8 +275,9 @@ class TestConcurrentJobsEndToEnd:
         cluster = _shared_cluster()
         runner = make_job_runner("dfccl", cluster, seed=7)
         specs = [_small_spec("ten-a"), _small_spec("ten-b", arrival=100.0)]
-        scheduler = install_scheduler(cluster, runner, specs,
-                                      policy="packed", tenants_per_gpu=2)
+        scheduler = install_control_plane(cluster, runner, specs,
+                                          policy="packed", tenants_per_gpu=2,
+                                          preemption=False)
         total = cluster.run(until_us=8_000_000)
         records = scheduler.finalize(total)
         assert all(record.state is JobState.COMPLETED for record in records)
@@ -289,8 +294,9 @@ class TestConcurrentJobsEndToEnd:
         cluster = _shared_cluster()
         runner = make_job_runner("dfccl", cluster, seed=7)
         specs = [_small_spec("ten-a"), _small_spec("ten-b")]
-        scheduler = install_scheduler(cluster, runner, specs,
-                                      policy="packed", tenants_per_gpu=2)
+        scheduler = install_control_plane(cluster, runner, specs,
+                                          policy="packed", tenants_per_gpu=2,
+                                          preemption=False)
 
         # Snapshot mid-run evidence from a completion callback: while ten-b
         # is still running, the co-located rank contexts hold collectives of
@@ -330,8 +336,9 @@ class TestConcurrentJobsEndToEnd:
             _small_spec("ten-a", dp=4, iterations=3),
             _small_spec("ten-b", dp=4, iterations=3, arrival=40.0),
         ]
-        scheduler = install_scheduler(cluster, runner, specs,
-                                      policy="packed", tenants_per_gpu=2)
+        scheduler = install_control_plane(cluster, runner, specs,
+                                          policy="packed", tenants_per_gpu=2,
+                                          preemption=False)
         total = cluster.run(until_us=8_000_000)
         scheduler.finalize(total)
         assert cluster.engine.deadlock_report is not None
@@ -348,8 +355,9 @@ class TestConcurrentJobsEndToEnd:
             _small_spec("ten-a", dp=4, iterations=3),
             _small_spec("ten-b", dp=4, iterations=3, arrival=40.0),
         ]
-        scheduler = install_scheduler(cluster, runner, specs,
-                                      policy="packed", tenants_per_gpu=2)
+        scheduler = install_control_plane(cluster, runner, specs,
+                                          policy="packed", tenants_per_gpu=2,
+                                          preemption=False)
         total = cluster.run(until_us=8_000_000)
         records = scheduler.finalize(total)
         assert cluster.engine.deadlock_report is None
@@ -370,8 +378,9 @@ class TestChurnEdgeCases:
                                 max_resident_blocks=8)
         runner = make_job_runner("dfccl", cluster, seed=3, launch_jitter_us=0.0)
         spec = JobSpec(job_id="solo", dp=2, iterations=2, grad_buckets=2)
-        scheduler = install_scheduler(cluster, runner, [spec],
-                                      policy="packed", tenants_per_gpu=1)
+        scheduler = install_control_plane(cluster, runner, [spec],
+                                          policy="packed", tenants_per_gpu=1,
+                                          preemption=False)
         plan = (FaultPlan(name="late-crash")
                 .add_straggler(1, at_us=100.0, factor=30.0)
                 .add_crash(1, at_us=872_800.0))
